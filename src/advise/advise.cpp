@@ -29,21 +29,13 @@
 #include "sim/window_sampler.hpp"
 #include "sparse/generators.hpp"
 #include "trace/recorder.hpp"
+#include "util/format.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
 
 namespace opm::advise {
 namespace {
-
-/// Exact, locale-independent double rendering (C99 hex float). Advise
-/// payloads carry doubles as hex-float *strings* so the JSON stays
-/// parseable while the byte-identity contract holds bit-exactly.
-std::string hexf(double v) {
-  char buf[64];
-  const int n = std::snprintf(buf, sizeof buf, "%a", v);
-  return std::string(buf, static_cast<std::size_t>(n));
-}
 
 std::atomic<bool> g_verify_enabled{true};
 
@@ -592,7 +584,7 @@ std::string serialize(const AdviseRequest& req) {
   out += ",platform=";
   out += req.platform;
   out += ",footprint_bytes=";
-  out += hexf(req.footprint_bytes);
+  util::append_hexf(out, req.footprint_bytes);
   out += ",objective=";
   out += to_string(req.objective);
   out += ",verify=";
@@ -777,9 +769,18 @@ void append_str(std::string& out, const char* key, const std::string& value) {
   out += ',';
 }
 
+/// A double as a %a hex-float *string*: exact, and still plain JSON (the
+/// hex text holds nothing JSON escapes).
+void append_hex_kv(std::string& out, const char* key, double value) {
+  out += '"';
+  out += key;
+  out += "\":\"";
+  util::append_hexf(out, value);
+  out += '"';
+}
+
 void append_num(std::string& out, const char* key, double value) {
-  // Doubles travel as %a hex-float strings: exact, and still plain JSON.
-  append_kv(out, key, hexf(value), true);
+  append_hex_kv(out, key, value);
   out += ',';
 }
 
@@ -839,7 +840,7 @@ std::string render_json(const AdviseResult& r) {
   append_kv(out, "note", r.verification.note, true);
   out += "},\"sampling\":{";
   append_bool(out, "sampled", r.sampling.sampled);
-  append_kv(out, "max_rel_error", hexf(r.sampling.max_rel_error), true);
+  append_hex_kv(out, "max_rel_error", r.sampling.max_rel_error);
   out += "}}";
   return out;
 }

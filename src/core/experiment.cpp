@@ -1,7 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -16,6 +15,7 @@
 #include "kernels/stencil.hpp"
 #include "kernels/stream.hpp"
 #include "sim/power.hpp"
+#include "util/format.hpp"
 
 namespace opm::core {
 
@@ -35,12 +35,13 @@ const char* to_string(KernelId id) {
 
 namespace {
 
-/// Renders a double as a C99 hex float ("%a"): exact, locale-independent,
-/// and round-trippable, so serializations are stable across platforms.
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
+/// Appends `,name=<v as %a hex>`: exact and locale-independent, so
+/// serializations are stable across platforms.
+void append_field(std::string& s, const char* name, double v) {
+  s += ',';
+  s += name;
+  s += '=';
+  util::append_hexf(s, v);
 }
 
 /// Consults the result cache around `compute`. On a hit the payload is the
@@ -121,9 +122,13 @@ kernels::LocalityModel footprint_model(const sim::Platform& platform, KernelId k
 std::string serialize(const DenseSweepRequest& req) {
   std::string s = "dense{kernel=";
   s += to_string(req.kernel);
-  s += ",n_lo=" + hexf(req.n_lo) + ",n_hi=" + hexf(req.n_hi);
-  s += ",n_step=" + hexf(req.n_step) + ",nb_lo=" + hexf(req.nb_lo);
-  s += ",nb_hi=" + hexf(req.nb_hi) + ",nb_step=" + hexf(req.nb_step) + "}";
+  append_field(s, "n_lo", req.n_lo);
+  append_field(s, "n_hi", req.n_hi);
+  append_field(s, "n_step", req.n_step);
+  append_field(s, "nb_lo", req.nb_lo);
+  append_field(s, "nb_hi", req.nb_hi);
+  append_field(s, "nb_step", req.nb_step);
+  s += '}';
   return s;
 }
 
@@ -139,7 +144,8 @@ std::string serialize(const SparseSweepRequest& req) {
 std::string serialize(const FootprintSweepRequest& req) {
   std::string s = "footprint{kernel=";
   s += to_string(req.kernel);
-  s += ",fp_lo=" + hexf(req.fp_lo) + ",fp_hi=" + hexf(req.fp_hi);
+  append_field(s, "fp_lo", req.fp_lo);
+  append_field(s, "fp_hi", req.fp_hi);
   s += ",points=" + std::to_string(req.points) + "}";  // opm-lint: allow(float-print) — integer field
   return s;
 }

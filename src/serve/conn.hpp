@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "util/mutex.hpp"
 #include "util/socket.hpp"
@@ -63,11 +64,10 @@ struct Conn {
     return open && fd >= 0;
   }
 
-  void write_line(std::string line) OPM_EXCLUDES(mutex) {
-    line.push_back('\n');
+  void write_line(std::string_view line) OPM_EXCLUDES(mutex) {
     util::MutexLock lock(mutex);
     if (!open || fd < 0) return;  // client went away: drop the response
-    if (!util::send_all(fd, line, is_socket)) {
+    if (!util::send_line(fd, line, is_socket)) {
       open = false;  // broken pipe or similar; subsequent responses drop
     }
   }
@@ -89,14 +89,17 @@ struct Conn {
 };
 
 /// Reads `fd` until EOF/error, invoking `on_line` for each complete
-/// '\n'-terminated line (without the newline). Returns false when the
-/// stream was abandoned because a line exceeded `max_line_bytes` — the
-/// caller owes the peer an "oversized" error, and framing is lost so the
-/// connection must close.
+/// '\n'-terminated line (without the newline; the view lives only for the
+/// call). Reads 64 KiB at a time, scans each byte for '\n' once and
+/// consumes lines by offset, so framing is linear in the bytes read
+/// however long a line is. A partial line at EOF is dropped. Returns false
+/// when the stream was abandoned because a line exceeded `max_line_bytes`
+/// — the caller owes the peer an "oversized" error, and framing is lost so
+/// the connection must close.
 inline bool for_each_line(int fd, std::size_t max_line_bytes,
-                          const std::function<bool(const std::string&)>& on_line) {
-  std::string buf;
-  char chunk[4096];
+                          const std::function<bool(std::string_view)>& on_line) {
+  std::string buf;  // unconsumed bytes: the start of the next line
+  char chunk[64 * 1024];
   for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n < 0) {
@@ -104,14 +107,16 @@ inline bool for_each_line(int fd, std::size_t max_line_bytes,
       return true;
     }
     if (n == 0) return true;  // EOF
+    std::size_t scan = buf.size();  // the bytes before hold no '\n'
     buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while ((pos = buf.find('\n')) != std::string::npos) {
-      const std::string line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
+    std::size_t head = 0;
+    for (std::size_t nl; (nl = buf.find('\n', scan)) != std::string::npos; scan = head) {
+      const std::string_view line(buf.data() + head, nl - head);
+      head = nl + 1;
       if (line.size() > max_line_bytes) return false;
       if (!on_line(line)) return true;  // handler closed the connection
     }
+    buf.erase(0, head);
     if (buf.size() > max_line_bytes) return false;
   }
 }

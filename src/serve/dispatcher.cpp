@@ -28,15 +28,27 @@ protocol::Error rejection(const char* category, const char* message, int retry_a
   return e;
 }
 
-/// Derives the v2 envelope's sampled/max_rel_error members from the
-/// rendered payload (fresh, coalesced, or cache-served — all the same
-/// text), so the fast-or-exact contract holds on every serving path
-/// without threading sampling state through execute().
-protocol::SampleNote sample_note(const protocol::Request& req, const std::string& payload) {
+/// A flight's payload in the form its envelopes embed. Sweep CSV is
+/// rendered already JSON-escaped, so wrapping it is a copy, not an escape
+/// pass. Advise JSON stays raw — its sample note is read from it — and is
+/// escaped when wrapped.
+std::string flight_payload(const protocol::Request& req) {
+  return req.type == protocol::RequestType::kAdvise ? protocol::execute(req)
+                                                    : protocol::execute_escaped(req);
+}
+
+/// Wraps a flight's payload in one waiter's envelope. An advise payload's
+/// v2 sampled/max_rel_error members are derived from its text (fresh,
+/// coalesced, or cache-served — all the same bytes), so the fast-or-exact
+/// contract holds on every serving path without threading sampling state
+/// through execute().
+std::string wrap(const protocol::Envelope& env, const protocol::Request& req,
+                 const std::string& payload) {
+  if (req.type != protocol::RequestType::kAdvise)
+    return protocol::render_escaped_response(env, req.type, payload);
   protocol::SampleNote note;
-  if (req.type == protocol::RequestType::kAdvise)
-    advise::payload_sampling(payload, &note.sampled, &note.max_rel_error_hex);
-  return note;
+  advise::payload_sampling(payload, &note.sampled, &note.max_rel_error_hex);
+  return protocol::render_response(env, req.type, payload, note);
 }
 
 }  // namespace
@@ -167,11 +179,10 @@ struct Dispatcher::Impl {
     auto flight = flights.try_begin(key, &leader);
     if (leader) {
       try {
-        auto payload = std::make_shared<const std::string>(protocol::execute(item.req));
+        auto payload = std::make_shared<const std::string>(flight_payload(item.req));
         computed.add(1);
         flights.complete(flight, payload);
-        answer(item.respond, protocol::render_response(env, item.req.type, *payload,
-                                                       sample_note(item.req, *payload)));
+        answer(item.respond, wrap(env, item.req, *payload));
       } catch (const std::exception& e) {
         flights.fail(flight);
         errors_internal.add(1);
@@ -188,8 +199,7 @@ struct Dispatcher::Impl {
     const core::SingleFlight::Payload payload = flights.share(flight);
     if (payload) {
       coalesce_hits.add(1);
-      answer(item.respond, protocol::render_response(env, item.req.type, *payload,
-                                                     sample_note(item.req, *payload)));
+      answer(item.respond, wrap(env, item.req, *payload));
     } else {
       errors_internal.add(1);
       answer(item.respond,

@@ -1,8 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <sstream>
 
@@ -13,17 +13,7 @@ namespace opm::serve::protocol {
 namespace {
 
 constexpr std::size_t kMaxIdBytes = 128;
-/// Hard ceiling on dense grid size: keeps a single hostile request from
-/// pinning a worker for minutes. The paper's widest grid (KNL, n_hi =
-/// 32000) is ~4k points, far below this.
-constexpr double kMaxGridPoints = 1 << 20;
 constexpr std::size_t kMaxFootprintPoints = 65536;
-
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
 
 /// Shortest decimal that round-trips the exact double — what
 /// render_request uses so a forwarded request re-parses to bit-identical
@@ -288,7 +278,8 @@ bool parse_request_value(const util::JsonValue& doc, Request* out, Error* err) {
       if (r.n_step <= 0.0 || r.nb_step <= 0.0) return bad(err, "grid steps must be > 0");
       const double nx = std::floor((r.n_hi - r.n_lo) / r.n_step) + 1.0;
       const double ny = std::floor((r.nb_hi - r.nb_lo) / r.nb_step) + 1.0;
-      if (nx * ny > kMaxGridPoints) return bad(err, "dense grid exceeds 2^20 points");
+      if (nx * ny > static_cast<double>(kMaxGridPoints))
+        return bad(err, "dense grid exceeds 2^20 points");
       return true;
     }
     case RequestType::kSparse: {
@@ -397,44 +388,67 @@ util::Digest128 request_key(const Request& req) {
   return h.digest();
 }
 
-std::string execute(const Request& req) {
-  if (req.type == RequestType::kAdvise) return advise::run_and_render(req.advise);
-  std::vector<core::SweepPoint> points;
+namespace {
+
+/// The one CSV writer behind both payload forms. `newline` is "\n" for
+/// the raw CSV execute() returns and "\\n" for the JSON-escaped form an
+/// envelope embeds: a newline is the only byte of this CSV that JSON
+/// escapes. The buffer is reserved from the exact per-row bound, so no
+/// row reallocates it.
+std::string write_points_csv(const std::vector<core::SweepPoint>& points,
+                             std::string_view newline) {
+  constexpr std::string_view kHeader = "x,y,gflops,footprint,rows,nnz,input_id";
+  const std::size_t row_bytes = kMaxCsvRowBytes - 2 + newline.size();
+  std::string out;
+  out.reserve(kHeader.size() + newline.size() + points.size() * row_bytes);
+  out += kHeader;
+  out += newline;
+  char row[kMaxCsvRowBytes];
+  for (const core::SweepPoint& p : points) {
+    char* end = row;
+    for (const double v : {p.x, p.y, p.gflops, p.footprint, p.rows, p.nnz}) {
+      end = util::write_hexf(end, v);
+      *end++ = ',';
+    }
+    end = std::to_chars(end, row + sizeof row, p.input_id).ptr;
+    end = std::copy(newline.begin(), newline.end(), end);
+    out.append(row, end);
+  }
+  return out;
+}
+
+/// Runs the sweep `req` names and writes its CSV; empty for request types
+/// that carry no sweep.
+std::string sweep_csv(const Request& req, std::string_view newline) {
   switch (req.type) {
     case RequestType::kDense:
-      points = core::sweep_dense(req.platform, req.dense);
-      break;
+      return write_points_csv(core::sweep_dense(req.platform, req.dense), newline);
     case RequestType::kSparse:
-      points = core::sweep_sparse(req.platform, req.sparse, serve_suite());
-      break;
+      return write_points_csv(core::sweep_sparse(req.platform, req.sparse, serve_suite()),
+                              newline);
     case RequestType::kFootprint:
-      points = core::sweep_footprint_kernel(req.platform, req.footprint);
-      break;
+      return write_points_csv(core::sweep_footprint_kernel(req.platform, req.footprint),
+                              newline);
     default:
       return {};
   }
-  return render_points_csv(points);
+}
+
+}  // namespace
+
+std::string execute(const Request& req) {
+  if (req.type == RequestType::kAdvise) return advise::run_and_render(req.advise);
+  return sweep_csv(req, "\n");
+}
+
+std::string execute_escaped(const Request& req) {
+  if (req.type == RequestType::kAdvise)
+    return util::json_escape(advise::run_and_render(req.advise));
+  return sweep_csv(req, "\\n");
 }
 
 std::string render_points_csv(const std::vector<core::SweepPoint>& points) {
-  std::string out = "x,y,gflops,footprint,rows,nnz,input_id\n";
-  for (const auto& p : points) {
-    out += hexf(p.x);
-    out += ',';
-    out += hexf(p.y);
-    out += ',';
-    out += hexf(p.gflops);
-    out += ',';
-    out += hexf(p.footprint);
-    out += ',';
-    out += hexf(p.rows);
-    out += ',';
-    out += hexf(p.nnz);
-    out += ',';
-    out += std::to_string(p.input_id);  // opm-lint: allow(float-print) — integer id
-    out += '\n';
-  }
-  return out;
+  return write_points_csv(points, "\n");
 }
 
 std::string render_request(const Request& req) {
@@ -535,6 +549,29 @@ std::string shard_member(const Envelope& env) {
   return ",\"shard\":" + shortest(static_cast<std::uint64_t>(env.shard < 0 ? 0 : env.shard));
 }
 
+/// A success line up to and including the opening quote of its payload
+/// string, with room reserved for `payload_bytes` more. The fast-or-exact
+/// contract: only sampled v2 envelopes carry the sampled members, so
+/// exact-mode and v1 byte streams are unchanged. `max_rel_error` is
+/// already JSON-escaped.
+std::string ok_head(const Envelope& env, RequestType type, bool sampled,
+                    std::string_view max_rel_error, std::size_t payload_bytes) {
+  std::string out;
+  out.reserve(96 + env.id.size() + max_rel_error.size() + payload_bytes);
+  out += envelope_prefix(env);
+  out += ",\"ok\":true,\"type\":\"";
+  out += to_string(type);
+  out += '"';
+  out += shard_member(env);
+  if (env.version == 2 && sampled) {
+    out += ",\"sampled\":true,\"max_rel_error\":\"";
+    out += max_rel_error;
+    out += '"';
+  }
+  out += ",\"payload\":\"";
+  return out;
+}
+
 }  // namespace
 
 std::string render_response(const Envelope& env, RequestType type,
@@ -544,20 +581,18 @@ std::string render_response(const Envelope& env, RequestType type,
 
 std::string render_response(const Envelope& env, RequestType type,
                             const std::string& payload, const SampleNote& note) {
-  std::string out = envelope_prefix(env);
-  out += ",\"ok\":true,\"type\":\"";
-  out += to_string(type);
-  out += '"';
-  out += shard_member(env);
-  // The fast-or-exact contract: only sampled v2 responses carry the
-  // members, so exact-mode and v1 byte streams are unchanged.
-  if (env.version == 2 && note.sampled) {
-    out += ",\"sampled\":true,\"max_rel_error\":\"";
-    out += util::json_escape(note.max_rel_error_hex);
-    out += '"';
-  }
-  out += ",\"payload\":\"";
-  out += util::json_escape(payload);
+  // The slack covers a CSV payload's escapes (one per row) without a regrow.
+  std::string out = ok_head(env, type, note.sampled, util::json_escape(note.max_rel_error_hex),
+                            payload.size() + payload.size() / 16 + 2);
+  util::append_json_escaped(out, payload);
+  out += "\"}";
+  return out;
+}
+
+std::string render_escaped_response(const Envelope& env, RequestType type,
+                                    std::string_view escaped_payload) {
+  std::string out = ok_head(env, type, false, {}, escaped_payload.size() + 2);
+  out += escaped_payload;
   out += "\"}";
   return out;
 }
@@ -617,7 +652,7 @@ std::string render_pong(const std::string& id) {
 }
 
 bool parse_response(std::string_view line, ResponseView* out) {
-  const auto doc = util::parse_json(line);
+  auto doc = util::parse_json(line);
   if (!doc || !doc->is_object()) return false;
   *out = ResponseView{};
   if (const util::JsonValue* v = doc->find("v")) {
@@ -665,9 +700,9 @@ bool parse_response(std::string_view line, ResponseView* out) {
     if (!rel->is_string()) return false;
     out->max_rel_error = rel->string;
   }
-  if (const util::JsonValue* payload = doc->find("payload")) {
+  if (util::JsonValue* payload = doc->find("payload")) {
     if (!payload->is_string()) return false;
-    out->payload = payload->string;
+    out->payload = std::move(payload->string);  // the document dies here
   }
   return true;
 }
@@ -685,6 +720,105 @@ std::string render_view(const Envelope& env, const ResponseView& view) {
   else if (view.type == "config") type = RequestType::kConfig;
   return render_response(env, type, view.payload,
                          SampleNote{view.sampled, view.max_rel_error});
+}
+
+namespace {
+
+/// Walks a backend line through the fixed member order ok_head writes for
+/// a v2 envelope.
+class HeadReader {
+ public:
+  explicit HeadReader(std::string_view line) : s_(line) {}
+
+  bool at_end() const { return pos_ == s_.size(); }
+
+  /// Consumes `text` when the line continues with it.
+  bool literal(std::string_view text) {
+    if (s_.substr(pos_, text.size()) != text) return false;
+    pos_ += text.size();
+    return true;
+  }
+
+  /// Consumes a string's body and closing quote (the opening quote ends
+  /// the preceding literal). Accepts only the escapes util::json_escape
+  /// writes — \" \\ \b \f \n \r \t — so unescaping and re-escaping the
+  /// body gives back its bytes. Anything else (\u, \/, a raw control byte,
+  /// a dangling backslash) is left to the full parser. *plain reports
+  /// that the body holds no escape at all.
+  bool string(std::string_view* body, bool* plain) {
+    const std::size_t start = pos_;
+    *plain = true;
+    for (;;) {
+      pos_ += util::json_plain_run(s_.substr(pos_));
+      if (pos_ >= s_.size()) return false;
+      if (s_[pos_] == '"') {
+        *body = s_.substr(start, pos_ - start);
+        ++pos_;
+        return true;
+      }
+      if (s_[pos_] != '\\' || pos_ + 1 >= s_.size()) return false;
+      switch (s_[pos_ + 1]) {
+        case '"': case '\\': case 'b': case 'f': case 'n': case 'r': case 't':
+          *plain = false;
+          pos_ += 2;
+          break;
+        default:
+          return false;
+      }
+    }
+  }
+
+  /// A shard id as shard_member writes it: 1-9 decimal digits, no sign,
+  /// no leading zero.
+  bool shard(int* out) {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    const std::size_t digits = pos_ - start;
+    if (digits == 0 || digits > 9 || (digits > 1 && s_[start] == '0')) return false;
+    std::from_chars(s_.data() + start, s_.data() + pos_, *out);
+    return true;
+  }
+
+ private:
+  std::string_view s_;
+  std::size_t pos_ = 0;
+};
+
+/// The response types whose success lines carry a payload string.
+bool payload_type(std::string_view name, RequestType* out) {
+  for (const RequestType t : {RequestType::kDense, RequestType::kSparse, RequestType::kFootprint,
+                              RequestType::kAdvise, RequestType::kConfig}) {
+    if (name == to_string(t)) {
+      *out = t;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool parse_payload_head(std::string_view line, PayloadHead* out) {
+  HeadReader r(line);
+  std::string_view type;
+  bool plain = false;
+  if (!r.literal(R"({"v":2,"req_id":")") || !r.string(&out->id, &plain) || !plain ||
+      !r.literal(R"(,"ok":true,"type":")") || !r.string(&type, &plain) ||
+      !payload_type(type, &out->type) || !r.literal(R"(,"shard":)") || !r.shard(&out->shard))
+    return false;
+  out->sampled = r.literal(R"(,"sampled":true,"max_rel_error":")");
+  out->max_rel_error = {};
+  if (out->sampled && !r.string(&out->max_rel_error, &plain)) return false;
+  return r.literal(R"(,"payload":")") && r.string(&out->payload, &plain) && r.literal("}") &&
+         r.at_end();
+}
+
+std::string splice_response(const Envelope& env, const PayloadHead& head) {
+  std::string out =
+      ok_head(env, head.type, head.sampled, head.max_rel_error, head.payload.size() + 2);
+  out += head.payload;
+  out += "\"}";
+  return out;
 }
 
 }  // namespace opm::serve::protocol

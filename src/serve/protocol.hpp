@@ -9,6 +9,7 @@
 #include "sim/platform.hpp"
 #include "sparse/collection.hpp"
 #include "util/fingerprint.hpp"
+#include "util/format.hpp"
 #include "util/json.hpp"
 
 /// The opm_serve wire protocol: newline-delimited JSON requests, one JSON
@@ -89,6 +90,21 @@
 /// request's key; the error object carries `"shard":N`, the owner under
 /// the server's ring view), "internal" (the computation failed).
 namespace opm::serve::protocol {
+
+/// Hard ceiling on dense grid size: keeps a single hostile request from
+/// pinning a worker for minutes. The paper's widest grid (KNL, n_hi =
+/// 32000) is ~4k points, far below this.
+inline constexpr std::size_t kMaxGridPoints = std::size_t{1} << 20;
+
+/// The widest CSV payload row in its JSON-escaped form: six hex floats,
+/// six commas, an int input_id (at most 11 characters) and the escaped
+/// newline "\\n".
+inline constexpr std::size_t kMaxCsvRowBytes = 6 * util::kHexfMaxBytes + 6 + 11 + 2;
+
+/// The longest response line a legal request can produce: the largest
+/// dense grid's payload plus room for its envelope. The router bounds
+/// backend lines by this, not by the client request-line limit.
+inline constexpr std::size_t kMaxResponseLineBytes = kMaxGridPoints * kMaxCsvRowBytes + 4096;
 
 enum class RequestType { kDense, kSparse, kFootprint, kAdvise, kConfig, kStats, kPing, kHello };
 
@@ -189,8 +205,15 @@ util::Digest128 request_key(const Request& req);
 /// verifier calls this directly and diffs against served payloads.
 std::string execute(const Request& req);
 
+/// execute()'s payload in the JSON-escaped form an envelope embeds, byte
+/// for byte util::json_escape(execute(req)). Sweep CSV is written escaped
+/// in one pass (its only escaped byte is the newline); advise JSON goes
+/// through a real escape pass.
+std::string execute_escaped(const Request& req);
+
 /// CSV payload: header "x,y,gflops,footprint,rows,nnz,input_id", doubles
-/// as C99 hex floats (%a) so the text round-trips bit-exactly.
+/// as C99 hex floats (%a, util::write_hexf) so the text round-trips
+/// bit-exactly.
 std::string render_points_csv(const std::vector<core::SweepPoint>& points);
 
 /// Sampled-simulation annotation for a response envelope (the fast-or-exact
@@ -214,6 +237,10 @@ std::string render_response(const Envelope& env, RequestType type,
 /// note.sampled (v1 envelopes ignore the note entirely).
 std::string render_response(const Envelope& env, RequestType type,
                             const std::string& payload, const SampleNote& note);
+/// render_response for a payload already in escaped form (execute_escaped):
+/// the bytes are copied, not escaped again.
+std::string render_escaped_response(const Envelope& env, RequestType type,
+                                    std::string_view escaped_payload);
 std::string render_error(const Envelope& env, const Error& err);
 std::string render_stats(const Envelope& env, const std::string& stats_json);
 std::string render_pong(const Envelope& env);
@@ -251,5 +278,30 @@ bool parse_response(std::string_view line, ResponseView* out);
 /// Re-renders a parsed response under `env` (the client's envelope).
 /// Payload and error fields pass through byte-identically.
 std::string render_view(const Envelope& env, const ResponseView& view);
+
+/// The head of a v2 success line whose payload can be relayed without
+/// decoding it — what the router reads instead of parsing the whole line.
+/// The views point into the parsed line.
+struct PayloadHead {
+  std::string_view id;             ///< echo token (holds no escape)
+  int shard = 0;
+  RequestType type = RequestType::kDense;
+  bool sampled = false;
+  std::string_view max_rel_error;  ///< escaped text; empty unless sampled
+  std::string_view payload;        ///< the payload's escaped bytes as sent
+};
+
+/// Reads a success line written exactly as render_response writes a v2
+/// one, checking the payload string in place: every escape must be one
+/// util::json_escape writes. False for anything else — errors, redirects,
+/// stats/pong/hello, v1 lines, other escapes or member orders, bytes after
+/// the closing brace — and the caller takes the parse_response +
+/// render_view path, which stays the authority on what is legal. When
+/// true, splice_response(env, head) is byte for byte
+/// render_view(env, <parse_response of the line>).
+bool parse_payload_head(std::string_view line, PayloadHead* out);
+
+/// The client's envelope head followed by the untouched payload bytes.
+std::string splice_response(const Envelope& env, const PayloadHead& head);
 
 }  // namespace opm::serve::protocol

@@ -142,9 +142,9 @@ struct Router::Impl {
   bool draining OPM_GUARDED_BY(pending_mutex) = false;
   std::atomic<std::uint64_t> next_wire_id{1};
 
-  void answer(const std::shared_ptr<Conn>& client, std::string line) {
+  void answer(const std::shared_ptr<Conn>& client, std::string_view line) {
     responses.add(1);
-    client->write_line(std::move(line));
+    client->write_line(line);
   }
 
   /// Forwards `p.req` to shard `target` under a fresh wire id. On an
@@ -174,21 +174,38 @@ struct Router::Impl {
     backend->write_line(protocol::render_request(copy));
   }
 
+  /// Claims the request waiting on `wire_id`. False for a hello echo or a
+  /// dropped client's late reply.
+  bool take_pending(const std::string& wire_id, Pending* out) {
+    util::MutexLock lock(pending_mutex);
+    auto it = pending.find(wire_id);
+    if (it == pending.end()) return false;
+    *out = std::move(it->second);
+    pending.erase(it);
+    return true;
+  }
+
   /// Handles one backend response line (any backend; wire ids are global).
-  void on_backend_line(const std::string& line) {
+  void on_backend_line(std::string_view line) {
+    // A success line in the form shards write is spliced: the client's
+    // head, then the payload bytes exactly as they arrived.
+    protocol::PayloadHead head;
+    if (protocol::parse_payload_head(line, &head)) {
+      Pending p;
+      if (!take_pending(std::string(head.id), &p)) return;
+      protocol::Envelope env = p.env;
+      env.shard = head.shard;  // tell v2 clients which backend really answered
+      answer(p.client, protocol::splice_response(env, head));
+      pending_cv.notify_all();
+      return;
+    }
     protocol::ResponseView view;
     if (!protocol::parse_response(line, &view)) {
       backend_errors.add(1);
       return;
     }
     Pending p;
-    {
-      util::MutexLock lock(pending_mutex);
-      auto it = pending.find(view.id);
-      if (it == pending.end()) return;  // hello echo or a dropped client's late reply
-      p = std::move(it->second);
-      pending.erase(it);
-    }
+    if (!take_pending(view.id, &p)) return;
     if (!view.ok && view.error.category == "redirect" && p.redirects_left > 0 &&
         view.error.shard >= 0) {
       // The shard's ring view is wider than ours; follow the hint.
@@ -209,7 +226,9 @@ struct Router::Impl {
   /// clients never hang on a dead backend.
   void backend_reader_main(int shard) {
     const std::shared_ptr<Conn> backend = backends[static_cast<std::size_t>(shard)];
-    for_each_line(backend->read_fd(), config.max_line_bytes, [&](const std::string& line) {
+    // Backend lines are responses: bounded by the largest legal one, not
+    // by the client request-line limit.
+    for_each_line(backend->read_fd(), protocol::kMaxResponseLineBytes, [&](std::string_view line) {
       on_backend_line(line);
       return true;
     });
@@ -248,8 +267,8 @@ struct Router::Impl {
 
   /// Handles one client request line. Returns false when the connection
   /// must close (auth failure).
-  bool handle_line(const std::string& line, const std::shared_ptr<Conn>& conn) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
+  bool handle_line(std::string_view line, const std::shared_ptr<Conn>& conn) {
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) return true;
     requests.add(1);
     protocol::Request req;
     protocol::Error err;
@@ -310,7 +329,7 @@ struct Router::Impl {
   void reader_main(std::shared_ptr<Conn> conn) {
     const bool intact =
         for_each_line(conn->read_fd(), config.max_line_bytes,
-                      [&](const std::string& line) { return handle_line(line, conn); });
+                      [&](std::string_view line) { return handle_line(line, conn); });
     if (!intact) {
       errors_protocol.add(1);
       conn->write_line(protocol::render_error(

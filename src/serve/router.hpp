@@ -13,10 +13,13 @@
 /// consistent-hashes each sweep request's coalescing key
 /// (protocol::request_key, the same 128-bit digest the result cache and
 /// single-flight table use) onto one of N backend shards, and forwards
-/// the request over a persistent per-backend connection. Responses are
-/// re-rendered under the client's own envelope, so a v1 client talking
-/// through the router sees byte-identical lines to a v1 client talking
-/// to a standalone server — the payload CSV passes through untouched.
+/// the request over a persistent per-backend connection. Responses go
+/// back under the client's own envelope, so a v1 client talking through
+/// the router sees byte-identical lines to a v1 client talking to a
+/// standalone server. A success line in the exact form shards write is
+/// spliced — the client's head, then the payload bytes as they arrived,
+/// never decoded; any other line (errors, redirects, other spellings) is
+/// parsed and re-rendered (protocol::parse_payload_head).
 ///
 /// Why hash the *request key* and not the peer: each shard's in-memory
 /// LRU and single-flight table stay hot for its slice of the key space
@@ -70,6 +73,8 @@ struct RouterConfig {
   std::string auth_token;  ///< gates the router's own TCP listener
   /// Forwarded to TCP backends as a hello before any request.
   std::string backend_token;
+  /// Client request-line limit. Backend response lines are bounded by
+  /// protocol::kMaxResponseLineBytes instead.
   std::size_t max_line_bytes = 256 * 1024;
   int max_redirects = 1;  ///< redirect hops to follow per request
 };

@@ -73,10 +73,10 @@ struct Server::Impl {
   /// Handles one complete request line for `client`, answering through
   /// `conn`. Shared by the socket readers and serve_stream. Returns false
   /// when the connection must close (auth failure).
-  bool handle_line(const std::string& line, std::uint64_t client,
+  bool handle_line(std::string_view line, std::uint64_t client,
                    const std::shared_ptr<Conn>& conn, bool gate_auth) {
     const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) return true;  // blank: ignore
+    if (first == std::string_view::npos) return true;  // blank: ignore
     if (line[first] == '[') return handle_batch(line, client, conn, gate_auth);
     protocol::Request req;
     protocol::Error err;
@@ -108,7 +108,7 @@ struct Server::Impl {
       return false;
     }
     dispatcher.submit(client, std::move(req),
-                      [conn](std::string response) { conn->write_line(std::move(response)); });
+                      [conn](std::string response) { conn->write_line(response); });
     return true;
   }
 
@@ -120,7 +120,7 @@ struct Server::Impl {
   /// recovered envelope. hello cannot ride in a batch — auth is a
   /// connection property, not a request property — so a gated connection
   /// must have sent its hello line before its first batch.
-  bool handle_batch(const std::string& line, std::uint64_t client,
+  bool handle_batch(std::string_view line, std::uint64_t client,
                     const std::shared_ptr<Conn>& conn, bool gate_auth) {
     auto& errors_protocol = util::MetricsRegistry::instance().counter("serve.errors_protocol");
     const protocol::Envelope batch_env{2, std::string(), config.dispatch.shard_id};
@@ -178,7 +178,7 @@ struct Server::Impl {
         continue;
       }
       dispatcher.submit(client, std::move(req),
-                        [conn](std::string response) { conn->write_line(std::move(response)); });
+                        [conn](std::string response) { conn->write_line(response); });
     }
     return true;
   }
@@ -187,7 +187,7 @@ struct Server::Impl {
   /// handle_line.
   void read_loop(int in_fd, std::uint64_t client, const std::shared_ptr<Conn>& conn,
                  bool gate_auth) {
-    const bool intact = for_each_line(in_fd, config.max_line_bytes, [&](const std::string& line) {
+    const bool intact = for_each_line(in_fd, config.max_line_bytes, [&](std::string_view line) {
       return handle_line(line, client, conn, gate_auth);
     });
     if (!intact) oversized(conn);

@@ -1,10 +1,27 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
-/// Human-readable formatting helpers shared by all reporting code.
+/// Formatting helpers shared by all reporting code, plus the one canonical
+/// hex-float formatter every serialization path uses.
 namespace opm::util {
+
+/// The longest text write_hexf produces: "-0x1.fffffffffffffp-1022" and
+/// "-0x0.0000000000001p-1022" are 24 bytes.
+inline constexpr std::size_t kHexfMaxBytes = 24;
+
+/// Writes `v` exactly as glibc's printf("%a") spells it — the sign, "0x",
+/// then std::to_chars(chars_format::hex) of the magnitude; subnormals
+/// unnormalized as "0x0.<hex>p-1022"; "inf", "-inf", "nan" and "-nan" for
+/// non-finite values — into `out`, which must have room for kHexfMaxBytes.
+/// Returns one past the last byte written. The text is exact and
+/// locale-independent, so it round-trips bit for bit.
+char* write_hexf(char* out, double v);
+
+/// Appends write_hexf's text for `v` to `out`.
+void append_hexf(std::string& out, double v);
 
 /// "128 MB", "16 GB", "6 MB" — binary units, trimmed like the paper's prose.
 std::string format_bytes(std::uint64_t bytes);

@@ -3,8 +3,10 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <utility>
 
 namespace opm::util {
 
@@ -13,6 +15,34 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   for (const auto& [k, v] : members)
     if (k == key) return &v;
   return nullptr;
+}
+
+JsonValue* JsonValue::find(std::string_view key) {
+  return const_cast<JsonValue*>(std::as_const(*this).find(key));
+}
+
+std::size_t json_plain_run(std::string_view s) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  std::size_t i = 0;
+  // Eight bytes per step: the has-less-than / has-zero-byte bit tricks are
+  // exact as a test for "some byte of the word is special"; the byte loop
+  // below then finds which one.
+  for (; i + 8 <= s.size(); i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, s.data() + i, 8);
+    const std::uint64_t quote = w ^ (kOnes * 0x22);
+    const std::uint64_t slash = w ^ (kOnes * 0x5C);
+    const std::uint64_t hit = (((w - kOnes * 0x20) & ~w) | ((quote - kOnes) & ~quote) |
+                               ((slash - kOnes) & ~slash)) &
+                              kHigh;
+    if (hit != 0) break;
+  }
+  for (; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c < 0x20 || c == '"' || c == '\\') break;
+  }
+  return i;
 }
 
 namespace {
@@ -177,14 +207,14 @@ class Parser {
     ++pos_;  // opening quote
     out.clear();
     while (true) {
+      const std::size_t run = json_plain_run(text_.substr(pos_));
+      out.append(text_.data() + pos_, run);
+      pos_ += run;
       if (pos_ >= text_.size()) return fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
       if (c == '"') return true;
       if (c < 0x20) return fail("raw control character in string");
-      if (c != '\\') {
-        out += static_cast<char>(c);
-        continue;
-      }
+      // c is the backslash of an escape.
       if (pos_ >= text_.size()) return fail("truncated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -261,11 +291,13 @@ std::optional<JsonValue> parse_json(std::string_view text, std::string* error,
   return Parser(text, max_depth).run(error);
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
+void append_json_escaped(std::string& out, std::string_view s) {
+  for (;;) {
+    const std::size_t run = json_plain_run(s);
+    out.append(s.data(), run);
+    if (run == s.size()) return;
+    const auto c = static_cast<unsigned char>(s[run]);
+    s.remove_prefix(run + 1);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -274,16 +306,20 @@ std::string json_escape(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
+      default: {
+        // Any other control byte: \u00xx, lowercase hex.
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  append_json_escaped(out, s);
   return out;
 }
 

@@ -36,6 +36,8 @@ struct JsonValue {
 
   /// Member lookup on an object; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
+  /// As above, for callers that move a member's contents out.
+  JsonValue* find(std::string_view key);
 };
 
 /// Parses exactly one JSON document covering the whole input (trailing
@@ -48,6 +50,15 @@ std::optional<JsonValue> parse_json(std::string_view text, std::string* error = 
 /// included): ", \, and control characters; everything else is passed
 /// through byte-for-byte so round-tripping a payload is exact.
 std::string json_escape(std::string_view s);
+
+/// Appends json_escape(s) to `out` without building a temporary.
+void append_json_escaped(std::string& out, std::string_view s);
+
+/// Length of the leading run of `s` that a JSON string carries verbatim:
+/// everything before the first '"', '\\' or control byte (< 0x20). The
+/// escaper, the parser's string scanner and the router's payload check
+/// copy or skip such runs in bulk, eight bytes per step.
+std::size_t json_plain_run(std::string_view s);
 
 /// Canonical number formatting for emitted JSON: the shortest decimal
 /// string that parses back to exactly the same double (std::to_chars),

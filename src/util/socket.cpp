@@ -4,6 +4,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -194,6 +195,35 @@ bool send_all(int fd, std::string_view data, bool is_socket) {
     }
     p += n;
     left -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool send_line(int fd, std::string_view line, bool is_socket) {
+  char newline = '\n';
+  iovec iov[2] = {{const_cast<char*>(line.data()), line.size()}, {&newline, 1}};
+  iovec* next = iov;
+  int count = 2;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = static_cast<std::size_t>(count);
+    const ssize_t n = is_socket ? ::sendmsg(fd, &msg, MSG_NOSIGNAL) : ::writev(fd, next, count);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    // Drop the parts written in full, then trim a partly written one.
+    auto written = static_cast<std::size_t>(n);
+    while (count > 0 && written >= next->iov_len) {
+      written -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + written;
+      next->iov_len -= written;
+    }
   }
   return true;
 }

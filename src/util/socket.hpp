@@ -53,4 +53,8 @@ int bound_port(int fd);
 /// SIGPIPE. False on any unrecoverable error.
 bool send_all(int fd, std::string_view data, bool is_socket = true);
 
+/// send_all of `line` followed by '\n', gathered into one sendmsg/writev
+/// per attempt so a large line is never copied just to terminate it.
+bool send_line(int fd, std::string_view line, bool is_socket = true);
+
 }  // namespace opm::util

@@ -6,13 +6,17 @@
 // v1 clients through a v2 mesh, stale ring views healed by redirects, and
 // a multi-shard drain that answers everything admitted.
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,12 +25,15 @@
 
 #include "core/result_cache.hpp"
 #include "core/sweep.hpp"
+#include "serve/conn.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "util/fingerprint.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
+#include "util/rng.hpp"
 #include "util/socket.hpp"
 
 namespace {
@@ -569,6 +576,349 @@ TEST_F(RouterTest, MultiShardDrainAnswersEverythingAdmitted) {
     if (!view.ok)
       EXPECT_TRUE(view.error.category == "draining" || view.error.category == "internal")
           << line;
+  }
+}
+
+TEST_F(RouterTest, RelaysResponsesLongerThanTheClientLineLimit) {
+  // Backend lines are responses, bounded by the largest legal response and
+  // not by the router's request-line limit (256 KiB by default): a dense
+  // payload past that limit is relayed, and the shard's stream survives
+  // to answer the next request.
+  ASSERT_EQ(serve::RouterConfig{}.max_line_bytes, 256u * 1024u);
+  Mesh mesh;
+  ASSERT_TRUE(mesh.start("big", 1));
+  TestClient client;
+  ASSERT_TRUE(client.connect_addr(mesh.address));
+
+  const std::string big =
+      R"({"v":2,"req_id":"big","type":"dense","platform":"knl-flat","kernel":"gemm",)"
+      R"("n_lo":256,"n_hi":32000,"n_step":256,"nb_lo":128,"nb_hi":4096,"nb_step":64})";
+  const std::string small =
+      R"({"v":2,"req_id":"after","type":"footprint","platform":"knl-ddr","kernel":"stream",)"
+      R"("points":6})";
+  for (const std::string& request : {big, small}) {
+    ASSERT_TRUE(client.send_line(request));
+    std::string line;
+    ASSERT_TRUE(client.recv_line(&line));
+    protocol::ResponseView view;
+    ASSERT_TRUE(protocol::parse_response(line, &view)) << line.substr(0, 200);
+    EXPECT_TRUE(view.ok) << line.substr(0, 200);
+    EXPECT_EQ(view.payload, protocol::execute(parse_ok(request)));
+    if (request == big) {
+      EXPECT_GT(line.size(), 256u * 1024u);
+    }
+  }
+  mesh.stop();
+}
+
+// ------------------------------------------------ relaying hostile backends --
+//
+// The router splices a backend success line written exactly as shards
+// write it, and takes parse_response + render_view for any other line.
+// Whatever a backend sends, its client must get exactly what that full
+// path gives, or nothing when parse_response rejects the line.
+
+/// One backend line: head + payload + tail, where "@" in the head stands
+/// for the wire id the router assigned.
+struct BackendCase {
+  const char* name;
+  std::string head;
+  std::string payload;  ///< the payload string's body as sent
+  std::string tail;
+  bool splices;         ///< parse_payload_head must accept the line
+};
+
+/// A JSON \u escape of the four hex digits `hex`.
+std::string u(const char* hex) { return std::string("\\") + "u" + hex; }
+
+std::vector<BackendCase> backend_cases() {
+  const std::string dense = R"({"v":2,"req_id":"@","ok":true,"type":"dense","shard":0,"payload":")";
+  const std::string sampled =
+      R"({"v":2,"req_id":"@","ok":true,"type":"advise","shard":1,"sampled":true,)"
+      R"("max_rel_error":"0x1.9p-9","payload":")";
+  const std::string end = R"("})";
+  return {
+      {"canonical csv", dense, R"(x,y\n0x1p+8,0x1.8p+1\n)", end, true},
+      {"every short escape", dense, R"(a\"b\\c\td\b\f\r\n)", end, true},
+      {"sampled advise", sampled, R"({\"advise\":1,\"sampling\":{\"sampled\":true}})", end, true},
+      {"bytes json passes through", dense, "caf\xc3\xa9 \xff\x7f/", end, true},
+      {"empty payload", dense, "", end, true},
+      {"payload marker inside an earlier string",
+       R"({"v":2,"req_id":"@","ok":true,"type":"advise","shard":0,"sampled":true,)"
+       R"("max_rel_error":"x\",\"payload\":\"evil","payload":")",
+       "good", end, true},
+      {"unescaped quote", dense, R"(a"b)", end, false},
+      {"raw control byte", dense, "a\x01" "b", end, false},
+      {"raw tab", dense, "a\tb", end, false},
+      {"dangling backslash", dense, "abc\\", "", false},
+      {"backslash before the closing quote", dense, "abc\\", end, false},
+      {"unicode escapes", dense, u("0041") + u("00e9") + u("0001"), end, false},
+      {"surrogate pair", dense, u("d83d") + u("de00"), end, false},
+      {"unpaired high surrogate", dense, u("d800"), end, false},
+      {"unpaired low surrogate", dense, u("dc00") + "x", end, false},
+      {"high surrogate then no low one", dense, u("d800") + u("0041"), end, false},
+      {"truncated unicode escape", dense, u("00"), end, false},
+      {"escaped solidus", dense, R"(a\/b)", end, false},
+      {"unknown escape", dense, R"(a\qb)", end, false},
+      {"decoy payload member first",
+       R"({"v":2,"req_id":"@","payload":"decoy","ok":true,"type":"dense","shard":0,"payload":")",
+       "real", end, false},
+      {"bytes after the closing brace", dense, "x", R"("}garbage)", false},
+      {"second closing brace", dense, "x", R"("}})", false},
+      {"trailing whitespace", dense, "x", "\"} \t", false},
+      {"member after the payload", dense, "x", R"(","extra":1})", false},
+      {"v1 backend spelling", R"({"id":"@","ok":true,"type":"footprint","payload":")", "x", end,
+       false},
+      {"leading-zero shard",
+       R"({"v":2,"req_id":"@","ok":true,"type":"dense","shard":01,"payload":")", "x", end, false},
+      {"fractional shard",
+       R"({"v":2,"req_id":"@","ok":true,"type":"dense","shard":1.0,"payload":")", "x", end, false},
+      {"sampled false",
+       R"({"v":2,"req_id":"@","ok":true,"type":"advise","shard":0,"sampled":false,"payload":")",
+       "x", end, false},
+      {"not a payload type",
+       R"({"v":2,"req_id":"@","ok":true,"type":"ping","shard":0,"payload":")", "x", end, false},
+      {"error line",
+       R"({"v":2,"req_id":"@","ok":false,"shard":0,"error":{"category":"internal",)"
+       R"("message":"sweep \"failed\"","retry_after_ms":0}})",
+       "", "", false},
+  };
+}
+
+std::string backend_line(const BackendCase& c, const std::string& wire_id) {
+  std::string head = c.head;
+  head.replace(head.find('@'), 1, wire_id);
+  return head + c.payload + c.tail;
+}
+
+/// What the full path sends a client with envelope `client` for `line`:
+/// render_view under the answering shard, or nothing on a parse failure.
+std::optional<std::string> full_relay(Envelope client, const std::string& line) {
+  protocol::ResponseView view;
+  if (!protocol::parse_response(line, &view)) return std::nullopt;
+  client.shard = view.shard;
+  return protocol::render_view(client, view);
+}
+
+TEST(RouterSplice, HeadParserAcceptsOnlyLinesItRelaysExactly) {
+  for (const BackendCase& c : backend_cases()) {
+    const std::string line = backend_line(c, "g1");
+    protocol::PayloadHead head;
+    const bool spliced = protocol::parse_payload_head(line, &head);
+    EXPECT_EQ(spliced, c.splices) << c.name;
+    if (!spliced) continue;
+    EXPECT_EQ(head.id, "g1") << c.name;
+    for (const Envelope& client : {Envelope{1, "c-1", 0}, Envelope{2, "c-2", 0}}) {
+      const std::optional<std::string> full = full_relay(client, line);
+      ASSERT_TRUE(full.has_value()) << c.name;  // a spliced line is always a legal one
+      Envelope env = client;
+      env.shard = head.shard;
+      EXPECT_EQ(protocol::splice_response(env, head), *full) << c.name;
+    }
+  }
+}
+
+/// A scripted backend shard on a unix socket: it accepts the router's
+/// connection and answers each forwarded request with the lines `reply`
+/// gives for its wire id.
+class FakeShard {
+ public:
+  FakeShard(std::string path, std::function<std::vector<std::string>(const std::string&)> reply)
+      : path_(std::move(path)), reply_(std::move(reply)) {}
+  FakeShard(const FakeShard&) = delete;
+  FakeShard& operator=(const FakeShard&) = delete;
+  ~FakeShard() {
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept never met
+    if (thread_.joinable()) thread_.join();
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+
+  bool start() {
+    util::SocketAddress addr;
+    addr.path = path_;
+    listen_fd_ = util::listen_on(addr);
+    if (listen_fd_ < 0) return false;
+    thread_ = std::thread([this] { serve(); });  // opm-lint: allow(thread-ownership) — the fake shard's own loop
+    return true;
+  }
+
+  std::string address() const { return "unix:" + path_; }
+
+ private:
+  void serve() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    serve::for_each_line(fd, 1 << 20, [&](std::string_view line) {
+      protocol::Request req;
+      protocol::Error err;
+      if (protocol::parse_request(line, &req, &err))
+        for (const std::string& out : reply_(req.id)) util::send_line(fd, out);
+      return true;
+    });
+    ::close(fd);
+  }
+
+  std::string path_;
+  std::function<std::vector<std::string>(const std::string&)> reply_;
+  int listen_fd_ = -1;
+  std::thread thread_;  // opm-lint: allow(thread-ownership) — stands in for a shard process
+};
+
+TEST_F(RouterTest, HostileBackendLinesRelayAsTheFullParseWouldOrNotAtAll) {
+  // The fake shard answers each request with the case's line, then with a
+  // well-formed sentinel for the same wire id. A line the full parse
+  // accepts answers the client (the sentinel then finds no pending
+  // request); a rejected one is dropped and counted, and the sentinel
+  // answers instead.
+  const std::vector<BackendCase> cases = backend_cases();
+  std::atomic<std::size_t> current{0};
+  auto sentinel = [](const std::string& wire_id) {
+    return protocol::render_response(Envelope{2, wire_id, 0}, RequestType::kDense, "sentinel");
+  };
+  const std::string pid = std::to_string(::getpid());
+  FakeShard shard("test-router-hostile-s-" + pid + ".sock", [&](const std::string& wire_id) {
+    return std::vector<std::string>{backend_line(cases[current.load()], wire_id),
+                                    sentinel(wire_id)};
+  });
+  ASSERT_TRUE(shard.start());
+  serve::RouterConfig rc;
+  rc.backends = {shard.address()};
+  rc.listen_address = "unix:test-router-hostile-r-" + pid + ".sock";
+  serve::Router router(rc);
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+  TestClient client;
+  ASSERT_TRUE(client.connect_addr(rc.listen_address));
+
+  util::Counter& backend_errors = util::MetricsRegistry::instance().counter("router.backend_errors");
+  const std::string body =
+      R"("type":"footprint","platform":"knl-ddr","kernel":"stream","points":6})";
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    current.store(i);
+    for (const Envelope& env : {Envelope{1, "v1-client", 0}, Envelope{2, "v2-client", 0}}) {
+      const std::uint64_t errors_before = backend_errors.value();
+      ASSERT_TRUE(client.send_line(env.version == 2 ? R"({"v":2,"req_id":"v2-client",)" + body
+                                                    : R"({"id":"v1-client",)" + body));
+      std::string got;
+      ASSERT_TRUE(client.recv_line(&got, 10000)) << cases[i].name;
+      const std::optional<std::string> relayed = full_relay(env, backend_line(cases[i], "g"));
+      EXPECT_EQ(got, relayed ? *relayed : *full_relay(env, sentinel("g")))
+          << cases[i].name << " (v" << env.version << " client)";
+      EXPECT_EQ(backend_errors.value() - errors_before, relayed ? 0u : 1u) << cases[i].name;
+    }
+  }
+  router.request_drain();
+  router.wait();
+}
+
+/// The per-byte string scanner parse_json used before it copied plain
+/// runs in bulk, kept as the oracle: decodes the JSON string document
+/// `doc` (quotes included) into *out; false where parse_json must reject.
+bool per_byte_string(std::string_view doc, std::string* out) {
+  std::size_t pos = 0;
+  auto hex4 = [&](unsigned* cp) {
+    if (pos + 4 > doc.size()) return false;
+    *cp = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = doc[pos++];
+      *cp <<= 4;
+      if (c >= '0' && c <= '9') *cp |= static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f') *cp |= static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') *cp |= static_cast<unsigned>(c - 'A' + 10);
+      else return false;
+    }
+    return true;
+  };
+  auto utf8 = [&](unsigned cp) {
+    if (cp < 0x80) {
+      *out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      *out += static_cast<char>(0xC0 | (cp >> 6));
+      *out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      *out += static_cast<char>(0xE0 | (cp >> 12));
+      *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      *out += static_cast<char>(0xF0 | (cp >> 18));
+      *out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+      *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
+  };
+  out->clear();
+  if (doc.empty() || doc[pos++] != '"') return false;
+  for (;;) {
+    if (pos >= doc.size()) return false;
+    const auto c = static_cast<unsigned char>(doc[pos++]);
+    if (c == '"') return pos == doc.size();
+    if (c < 0x20) return false;
+    if (c != '\\') {
+      *out += static_cast<char>(c);
+      continue;
+    }
+    if (pos >= doc.size()) return false;
+    switch (doc[pos++]) {
+      case '"': *out += '"'; break;
+      case '\\': *out += '\\'; break;
+      case '/': *out += '/'; break;
+      case 'b': *out += '\b'; break;
+      case 'f': *out += '\f'; break;
+      case 'n': *out += '\n'; break;
+      case 'r': *out += '\r'; break;
+      case 't': *out += '\t'; break;
+      case 'u': {
+        unsigned cp = 0;
+        if (!hex4(&cp)) return false;
+        if (cp >= 0xD800 && cp <= 0xDBFF) {
+          if (pos + 1 >= doc.size() || doc[pos] != '\\' || doc[pos + 1] != 'u') return false;
+          pos += 2;
+          unsigned lo = 0;
+          if (!hex4(&lo) || lo < 0xDC00 || lo > 0xDFFF) return false;
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+          return false;
+        }
+        utf8(cp);
+        break;
+      }
+      default:
+        return false;
+    }
+  }
+}
+
+TEST(RouterSplice, BulkStringScannerAcceptsAndRejectsLikeThePerByteOne) {
+  // The table's payload strings, seeded random strings over the bytes the
+  // scanner branches on, and each special byte at every offset of a plain
+  // run (so the eight-byte steps meet it in every lane).
+  std::vector<std::string> bodies;
+  for (const BackendCase& c : backend_cases()) bodies.push_back(c.payload);
+  const std::string alphabet = std::string("ab\"\\/unrtfx019adDcCeE ") + '\x01' + '\x1f' + '\x7f' +
+                               '\x80' + '\xff';
+  util::Xoshiro256 rng(1016);
+  for (int i = 0; i < 20000; ++i) {
+    std::string body;
+    for (std::uint64_t n = rng.bounded(40); n > 0; --n) body += alphabet[rng.bounded(alphabet.size())];
+    bodies.push_back(body);
+  }
+  for (std::size_t n = 0; n <= 24; ++n)
+    for (std::size_t at = 0; at <= n; ++at)
+      for (const char special : {'"', '\\', '\x01', '\x1f'}) {
+        std::string body(n, 'p');
+        body.insert(at, 1, special);
+        bodies.push_back(body);
+      }
+  for (const std::string& body : bodies) {
+    const std::string doc = "\"" + body + "\"";
+    std::string want;
+    const bool accepted = per_byte_string(doc, &want);
+    const auto got = util::parse_json(doc);
+    ASSERT_EQ(got.has_value(), accepted) << testing::PrintToString(body);
+    if (accepted) {
+      EXPECT_EQ(got->string, want) << testing::PrintToString(body);
+    }
   }
 }
 

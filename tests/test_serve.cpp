@@ -5,6 +5,7 @@
 // input answered with structured errors (never a crash or hang), and a
 // graceful drain that answers everything admitted and unlinks the socket.
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -12,7 +13,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -23,6 +27,7 @@
 #include "core/result_cache.hpp"
 #include "core/single_flight.hpp"
 #include "core/sweep.hpp"
+#include "serve/conn.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -92,6 +97,49 @@ TEST(JsonParser, EscapeRoundTrips) {
   const auto doc = util::parse_json("\"" + util::json_escape(original) + "\"");
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->string, original);
+}
+
+TEST(JsonParser, BulkEscapeMatchesThePerByteEscape) {
+  // The per-byte escaper json_escape replaced, as the oracle; inputs
+  // cover every byte value and put each special byte at every offset of
+  // a plain run, so the eight-byte steps meet it in every lane.
+  auto per_byte = [](std::string_view s) {
+    std::string out;
+    for (const char raw : s) {
+      const auto c = static_cast<unsigned char>(raw);
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+          if (c < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
+          } else {
+            out += raw;
+          }
+      }
+    }
+    return out;
+  };
+  std::vector<std::string> inputs;
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte += static_cast<char>(c);
+  inputs.push_back(every_byte);
+  for (std::size_t n = 0; n <= 24; ++n)
+    for (std::size_t at = 0; at <= n; ++at)
+      for (const char special : {'"', '\\', '\n', '\x01', '\x1f'}) {
+        std::string s(n, 'p');
+        s.insert(at, 1, special);
+        inputs.push_back(s);
+      }
+  for (const std::string& s : inputs)
+    EXPECT_EQ(util::json_escape(s), per_byte(s)) << testing::PrintToString(s);
 }
 
 // --------------------------------------------------------------- protocol --
@@ -285,6 +333,25 @@ TEST(Protocol, V2EnvelopeParsesAndRejectsCrossVersionSpellings) {
   EXPECT_EQ(err.category, "unsupported-version");
   EXPECT_FALSE(serve::protocol::parse_request(R"({"v":true,"type":"ping"})", &req, &err));
   EXPECT_EQ(err.category, "bad-request");  // not an integer at all
+}
+
+TEST(Protocol, CsvRowsStayWithinTheExactBound) {
+  // The CSV writer reserves kMaxCsvRowBytes per row; the widest spellings
+  // of every field must fit it (the raw newline is one byte shorter than
+  // the escaped one the bound counts).
+  core::SweepPoint widest;
+  widest.x = widest.y = widest.gflops = -std::numeric_limits<double>::max();
+  widest.footprint = widest.rows = widest.nnz = -std::numeric_limits<double>::denorm_min();
+  widest.input_id = std::numeric_limits<int>::min();
+  const std::string csv = serve::protocol::render_points_csv({widest, widest});
+  const std::size_t header = csv.find('\n') + 1;
+  EXPECT_EQ(csv.size() - header, 2 * (serve::protocol::kMaxCsvRowBytes - 1));
+  char x[64], nnz[64];
+  std::snprintf(x, sizeof x, "%a", widest.x);
+  std::snprintf(nnz, sizeof nnz, "%a", widest.nnz);
+  EXPECT_EQ(csv.substr(header, csv.find('\n', header) - header),
+            std::string(x) + "," + x + "," + x + "," + nnz + "," + nnz + "," + nnz +
+                ",-2147483648");
 }
 
 TEST(Protocol, V2SweepRequestKeyMatchesV1Twin) {
@@ -505,6 +572,31 @@ TEST_F(ServeTest, DispatcherRejectsOnOverloadWithRetryHint) {
   EXPECT_GE(overload, 1);
 }
 
+TEST_F(ServeTest, EscapedPayloadsAreTheEscapedReferenceByteForByte) {
+  // The dispatcher wraps execute_escaped's text with no second escape
+  // pass: it must be exactly json_escape of the offline reference, and
+  // the wrapped line exactly what rendering the reference gives.
+  const char* lines[] = {
+      R"({"type":"dense","platform":"knl-flat","kernel":"gemm",)"
+      R"("n_lo":256,"n_hi":2048,"n_step":256,"nb_lo":128,"nb_hi":1024,"nb_step":128})",
+      R"({"type":"sparse","platform":"broadwell-edram-on","kernel":"spmv"})",
+      R"({"type":"footprint","platform":"knl-cache","kernel":"fft","points":12})",
+      R"({"v":2,"type":"advise","platform":"knl-ddr","kernel":"stream","verify":false})",
+  };
+  for (const char* line : lines) {
+    const Request req = parse_ok(line);
+    const std::string raw = serve::protocol::execute(req);
+    const std::string escaped = serve::protocol::execute_escaped(req);
+    EXPECT_EQ(escaped, util::json_escape(raw)) << line;
+    if (req.type == RequestType::kAdvise) continue;  // wrapped raw, with its sample note
+    for (const serve::protocol::Envelope& env :
+         {serve::protocol::Envelope{1, "e1", 0}, serve::protocol::Envelope{2, "e2", 3}})
+      EXPECT_EQ(serve::protocol::render_escaped_response(env, req.type, escaped),
+                serve::protocol::render_response(env, req.type, raw))
+          << line;
+  }
+}
+
 TEST_F(ServeTest, DispatcherRejectsWhileDraining) {
   serve::Dispatcher dispatcher(serve::DispatchConfig{});
   dispatcher.drain();
@@ -521,6 +613,97 @@ TEST_F(ServeTest, DispatcherRejectsWhileDraining) {
   // Control plane stays alive while draining.
   dispatcher.submit(1, parse_ok(R"({"type":"ping"})"), sink.respond());
   EXPECT_EQ(sink.lines.size(), 2u);
+}
+
+// ----------------------------------------------------------------- framing --
+
+/// What for_each_line delivered from one socketpair, and its verdict.
+struct Framed {
+  std::vector<std::string> lines;
+  bool intact = false;
+};
+
+/// Runs for_each_line on one end of a socketpair while `feed(writer,
+/// reader)` writes the other end, then closes the writer (EOF).
+Framed frame(std::size_t max_line_bytes, const std::function<void(int, int)>& feed) {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  Framed out;
+  std::thread reader([&] {  // opm-lint: allow(thread-ownership) — the socketpair's reading end
+    out.intact = serve::for_each_line(sv[0], max_line_bytes, [&](std::string_view line) {
+      out.lines.emplace_back(line);
+      return true;
+    });
+  });
+  feed(sv[1], sv[0]);
+  ::shutdown(sv[1], SHUT_WR);
+  reader.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  return out;
+}
+
+/// Waits until the reader has taken every byte written so far, so the
+/// next write lands in a read() of its own.
+void wait_drained(int reader_fd) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int queued = 1;
+  while (::ioctl(reader_fd, FIONREAD, &queued) == 0 && queued > 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
+TEST(Framing, LinesSplitAcrossReadsAtEveryOffsetAroundTheChunkBoundary) {
+  // for_each_line reads 64 KiB at a time: the first line ends just before
+  // that boundary and the second straddles it. Every split point in the
+  // window makes the lines cross two reads somewhere different.
+  constexpr std::size_t kChunk = 64 * 1024;
+  const std::string a(kChunk - 3, 'a'), b(10, 'b'), c = "c";
+  const std::string stream = a + "\n" + b + "\n" + c + "\n";
+  for (std::size_t split = kChunk - 6; split <= stream.size(); ++split) {
+    const Framed f = frame(1 << 20, [&](int writer, int reader) {
+      ASSERT_TRUE(util::send_all(writer, std::string_view(stream).substr(0, split)));
+      wait_drained(reader);
+      ASSERT_TRUE(util::send_all(writer, std::string_view(stream).substr(split)));
+    });
+    EXPECT_TRUE(f.intact) << "split at " << split;
+    EXPECT_EQ(f.lines, (std::vector<std::string>{a, b, c})) << "split at " << split;
+  }
+}
+
+TEST(Framing, ManyLinesInOneRead) {
+  std::vector<std::string> want;
+  std::string stream;
+  for (int i = 0; i < 2000; ++i) {
+    want.push_back("line-" + std::to_string(i));
+    stream += want.back() + "\n";
+  }
+  const Framed f = frame(64, [&](int writer, int) { ASSERT_TRUE(util::send_all(writer, stream)); });
+  EXPECT_TRUE(f.intact);
+  EXPECT_EQ(f.lines, want);
+}
+
+TEST(Framing, LineOfExactlyTheLimitPassesAndOneByteMoreIsOversized) {
+  const std::string at_limit(100, 'x'), over(101, 'x');
+  const Framed ok =
+      frame(100, [&](int writer, int) { ASSERT_TRUE(util::send_all(writer, at_limit + "\nnext\n")); });
+  EXPECT_TRUE(ok.intact);
+  EXPECT_EQ(ok.lines, (std::vector<std::string>{at_limit, "next"}));
+
+  const Framed bad =
+      frame(100, [&](int writer, int) { ASSERT_TRUE(util::send_all(writer, over + "\nnext\n")); });
+  EXPECT_FALSE(bad.intact);
+  EXPECT_TRUE(bad.lines.empty());
+
+  // Past the limit before its newline arrives: reported all the same.
+  const Framed open = frame(100, [&](int writer, int) { ASSERT_TRUE(util::send_all(writer, over)); });
+  EXPECT_FALSE(open.intact);
+}
+
+TEST(Framing, PartialLastLineAtEofIsDropped) {
+  const Framed f = frame(100, [](int writer, int) { ASSERT_TRUE(util::send_all(writer, "one\ntwo")); });
+  EXPECT_TRUE(f.intact);
+  EXPECT_EQ(f.lines, std::vector<std::string>{"one"});
 }
 
 // ------------------------------------------------------------------ server --

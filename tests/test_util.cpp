@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/ascii_plot.hpp"
 #include "util/cli.hpp"
@@ -219,6 +223,46 @@ TEST(Format, Speedup) { EXPECT_EQ(format_speedup(1.2345), "1.234x"); }
 TEST(Format, Pad) {
   EXPECT_EQ(pad("ab", 4), "ab  ");
   EXPECT_EQ(pad("abcdef", 3), "abc");
+}
+
+// The canonical hex-float formatter against glibc's printf("%a"), the
+// spelling every cache key, golden and served payload was written in.
+TEST(Hexf, MatchesGlibcPercentAByteForByte) {
+  std::size_t checked = 0, mismatches = 0;
+  std::string first_mismatch;
+  auto check = [&](double v) {
+    char want[64];
+    std::snprintf(want, sizeof want, "%a", v);
+    std::string got;
+    append_hexf(got, v);
+    ++checked;
+    if (got != want || got.size() > kHexfMaxBytes) {
+      if (mismatches++ == 0) first_mismatch = got + " vs " + want;
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double edge :
+       {0.0, std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(), inf, nan, 1.0, 0.1, 4096.0, 1.0 / 3.0}) {
+    check(edge);
+    check(-edge);
+    check(std::copysign(edge, -1.0));  // -nan: negating a NaN need not set its sign
+  }
+  Xoshiro256 rng(20261016);
+  for (int i = 0; i < 400000; ++i) {
+    const std::uint64_t bits = rng.next();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    check(v);
+  }
+  EXPECT_EQ(checked, 400030u);
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+
+  // The widest spelling fills the bound exactly.
+  std::string widest;
+  append_hexf(widest, -std::numeric_limits<double>::max());
+  EXPECT_EQ(widest.size(), kHexfMaxBytes);
 }
 
 TEST(AsciiPlot, RendersSeries) {

@@ -204,12 +204,12 @@ void check_float_print(const std::string& norm, Sink& sink) {
     if (has_float_conversion(line.strings))
       sink.emit(li, kFloatPrint,
                 "decimal float conversion in a serialization path; use the "
-                "canonical %a helpers (hex() / hex_double)");
+                "canonical %a formatter util::append_hexf");
     for (std::size_t p : find_all(line.code, "std::to_string"))
       if (token_at(line.code, p, "std::to_string"))
         sink.emit(li, kFloatPrint,
                   "std::to_string in a serialization path; floats must go "
-                  "through the canonical %a helpers");
+                  "through the canonical %a formatter util::append_hexf");
   }
 }
 

@@ -28,7 +28,7 @@
 ///   thread-ownership  raw std::thread/std::jthread outside
 ///                 util/thread_pool and src/serve
 ///   float-print   %f/%e/%g conversions or std::to_string in canonical
-///                 serialization paths (must use the %a helpers)
+///                 serialization paths (must use util::append_hexf)
 ///   guarded-mutex a class declaring a mutex member with no
 ///                 OPM_GUARDED_BY field in the same class
 ///   pragma-once   every header starts its life with #pragma once
