@@ -3,6 +3,7 @@
 // irregular gathers (random SpMV x-accesses) gain nothing — the asymmetry
 // behind the paper's kernels reaching (Stream) or missing (SpMV) the
 // DRAM bandwidth plateau.
+#include <functional>
 #include <iostream>
 
 #include "common.hpp"

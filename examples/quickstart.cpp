@@ -70,9 +70,9 @@ int main() {
   const auto p_on = kernels::predict(on, kernels::spmv_model(on, shape));
   std::cout << "\npredicted SpMV throughput:\n"
             << "  w/o eDRAM: " << util::format_fixed(p_off.gflops, 2) << " GFlop/s (bound by "
-            << p_off.timing.bound_by << ")\n"
+            << sim::channel_name(off, p_off.timing.bound_channel) << ")\n"
             << "  w/  eDRAM: " << util::format_fixed(p_on.gflops, 2) << " GFlop/s (bound by "
-            << p_on.timing.bound_by << ")\n"
+            << sim::channel_name(on, p_on.timing.bound_channel) << ")\n"
             << "  speedup:   " << util::format_speedup(p_on.gflops / p_off.gflops) << "\n";
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/units.hpp"
 
@@ -49,6 +50,9 @@ double effective_tier_capacity(const sim::CacheTierSpec& tier, double dm_factor)
 }  // namespace
 
 sim::Workload build_workload(const sim::Platform& platform, const LocalityModel& model) {
+  if (platform.tiers.size() + platform.devices.size() > sim::kMaxChannels)
+    throw std::invalid_argument("build_workload: " + platform.name +
+                                " has more tiers + devices than sim::kMaxChannels");
   sim::Workload work;
   work.flops = model.flops;
   work.compute_efficiency = model.compute_efficiency;
@@ -66,7 +70,6 @@ sim::Workload build_workload(const sim::Platform& platform, const LocalityModel&
   double cap_above = 0.0;
   for (const auto& tier : platform.tiers) {
     sim::ChannelLoad ch;
-    ch.name = tier.geometry.name;
     ch.bytes = cap_above <= 0.0 ? model.total_bytes : model.miss_bytes(cap_above);
     ch.bandwidth = tier.bandwidth;
     ch.tag_overhead = tier.tag_overhead;
@@ -96,7 +99,6 @@ sim::Workload build_workload(const sim::Platform& platform, const LocalityModel&
   for (std::size_t d = 0; d < platform.devices.size(); ++d) {
     const auto& dev = platform.devices[d];
     sim::ChannelLoad ch;
-    ch.name = dev.name;
     const bool is_flat_opm = has_flat && d == 0;
     ch.bytes = is_flat_opm ? bottom * opm_frac
                            : (has_flat ? bottom * (1.0 - opm_frac) : bottom);
@@ -109,8 +111,7 @@ sim::Workload build_workload(const sim::Platform& platform, const LocalityModel&
 }
 
 Prediction predict(const sim::Platform& platform, const LocalityModel& model) {
-  Prediction out;
-  out.workload = build_workload(platform, model);
+  Prediction out{.workload = build_workload(platform, model)};
   out.timing = sim::predict_time(platform, out.workload, /*double_precision=*/true);
   out.seconds = out.timing.total_time;
   out.gflops = sim::gflops(out.workload, out.timing);

@@ -1,6 +1,8 @@
 #pragma once
 
-#include <functional>
+#include <cstddef>
+#include <new>
+#include <type_traits>
 
 #include "sim/platform.hpp"
 #include "sim/timing.hpp"
@@ -28,6 +30,45 @@ namespace opm::kernels {
 /// `sharpness` controls the transition width in the log domain.
 double capacity_miss_fraction(double ws, double capacity, double sharpness = 6.0);
 
+/// A miss curve stored inline: any trivially copyable callable
+/// `double(double)` whose captures fit in kCapacity bytes, invoked through
+/// one function pointer. Builders assign their lambdas as they are
+/// (`m.miss_bytes = [n, nb](double capacity) { ... };`); nothing is
+/// allocated, and copying one is a plain byte copy. A capture that is too
+/// large or not trivially copyable fails to compile.
+class MissCurve {
+ public:
+  static constexpr std::size_t kCapacity = 48;
+
+  MissCurve() = default;
+
+  template <typename F, typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, MissCurve>>>
+  MissCurve(const F& curve) : call_(&invoke<F>) {  // implicit: lambdas assign directly
+    static_assert(std::is_trivially_copyable_v<F>,
+                  "miss curve captures must be trivially copyable");
+    static_assert(sizeof(F) <= kCapacity && alignof(F) <= alignof(std::max_align_t),
+                  "miss curve captures exceed MissCurve::kCapacity");
+    static_assert(std::is_invocable_r_v<double, const F&, double>,
+                  "a miss curve maps a capacity (double) to bytes (double)");
+    ::new (static_cast<void*>(storage_)) F(curve);
+  }
+
+  /// Bytes requested from below a cache of `capacity` bytes.
+  double operator()(double capacity) const { return call_(storage_, capacity); }
+
+  /// False for a default-constructed (empty) curve, which must not be called.
+  explicit operator bool() const { return call_ != nullptr; }
+
+ private:
+  template <typename F>
+  static double invoke(const unsigned char* storage, double capacity) {
+    return (*std::launder(reinterpret_cast<const F*>(storage)))(capacity);
+  }
+
+  alignas(std::max_align_t) unsigned char storage_[kCapacity] = {};
+  double (*call_)(const unsigned char*, double) = nullptr;
+};
+
 /// Analytic description of one kernel execution on one problem size.
 struct LocalityModel {
   double flops = 0.0;
@@ -37,7 +78,7 @@ struct LocalityModel {
   double footprint = 0.0;
   /// Miss curve: capacity (bytes) -> bytes requested from below it.
   /// Must be non-increasing in capacity.
-  std::function<double(double)> miss_bytes;
+  MissCurve miss_bytes;
   /// Fraction of machine peak flops the compute stages can achieve.
   double compute_efficiency = 1.0;
   /// Outstanding cache-line requests machine-wide at full memory pressure.
@@ -57,8 +98,8 @@ struct LocalityModel {
 
 /// Predicted performance of a model on a platform.
 struct Prediction {
-  sim::Workload workload;
-  sim::TimingBreakdown timing;
+  sim::Workload workload{};
+  sim::TimingBreakdown timing{};
   double gflops = 0.0;
   double seconds = 0.0;
   /// Average bandwidth drawn from DDR and from OPM during the run (GB/s),
@@ -69,10 +110,16 @@ struct Prediction {
   double utilization = 0.0;
 };
 
-/// Folds the locality model against the platform's hierarchy.
+/// Folds the locality model against the platform's hierarchy: one channel
+/// per tier, then one per device (sim::channel_name resolves them). Throws
+/// std::invalid_argument when the platform has more than sim::kMaxChannels
+/// tiers + devices.
 sim::Workload build_workload(const sim::Platform& platform, const LocalityModel& model);
 
 /// Full pipeline: workload -> timing -> throughput + power-model inputs.
+/// Allocates nothing. Its floating-point operations run in a fixed order,
+/// so every output bit — and every golden and cache payload built from
+/// it — stays put (docs/MODEL.md §3).
 Prediction predict(const sim::Platform& platform, const LocalityModel& model);
 
 }  // namespace opm::kernels

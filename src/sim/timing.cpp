@@ -6,6 +6,14 @@
 
 namespace opm::sim {
 
+std::string_view channel_name(const Platform& platform, std::size_t i) {
+  if (i == kComputeBound) return "compute";
+  if (i < platform.tiers.size()) return platform.tiers[i].geometry.name;
+  i -= platform.tiers.size();
+  if (i < platform.devices.size()) return platform.devices[i].name;
+  throw std::out_of_range("sim::channel_name: no such channel on " + platform.name);
+}
+
 double effective_bandwidth(const ChannelLoad& channel, double mlp_lines, double line_size) {
   const double peak = channel.bandwidth * (1.0 - channel.tag_overhead);
   double bw = peak;
@@ -26,17 +34,15 @@ TimingBreakdown predict_time(const Platform& platform, const Workload& work,
   out.compute_time = peak > 0.0 ? work.flops / (peak * eff) : 0.0;
 
   out.total_time = out.compute_time;
-  out.bound_by = "compute";
-  out.channel_times.reserve(work.channels.size());
-  out.channel_eff_bw.reserve(work.channels.size());
-  for (const auto& ch : work.channels) {
+  for (std::size_t c = 0; c < work.channels.size(); ++c) {
+    const ChannelLoad& ch = work.channels[c];
     const double bw = effective_bandwidth(ch, work.mlp_lines, work.line_size);
     const double t = (bw > 0.0 && ch.bytes > 0.0) ? ch.bytes / bw : 0.0;
     out.channel_times.push_back(t);
     out.channel_eff_bw.push_back(bw);
     if (t > out.total_time) {
       out.total_time = t;
-      out.bound_by = ch.name;
+      out.bound_channel = c;
     }
   }
   out.total_time += std::max(work.fixed_time, 0.0);

@@ -1,7 +1,8 @@
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <stdexcept>
+#include <string_view>
 
 #include "sim/platform.hpp"
 
@@ -16,11 +17,43 @@
 /// concurrency, i.e. memory-level parallelism) — the distinction the paper
 /// uses to explain why SpTRSV loses on MCDRAM while SpMV wins (section
 /// 4.2.2).
+///
+/// Every per-channel container here is a fixed-capacity inline array, so a
+/// prediction touches no heap: a cold served sweep evaluates thousands of
+/// them per request.
 namespace opm::sim {
 
+/// Most channels one workload carries: a platform's tiers plus its
+/// devices. The built-in platforms use at most 5; kernels::build_workload
+/// and parse_platform reject platforms that need more.
+inline constexpr std::size_t kMaxChannels = 8;
+
+/// TimingBreakdown::bound_channel when no channel outlasts compute.
+inline constexpr std::size_t kComputeBound = static_cast<std::size_t>(-1);
+
+/// Fixed-capacity sequence of per-channel values, stored inline.
+template <typename T>
+class ChannelArray {
+ public:
+  /// Throws std::length_error past kMaxChannels entries.
+  void push_back(const T& value) {
+    if (size_ == kMaxChannels)
+      throw std::length_error("sim::ChannelArray: more than kMaxChannels channels");
+    items_[size_++] = value;
+  }
+
+  std::size_t size() const { return size_; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+  const T& back() const { return items_[size_ - 1]; }
+
+ private:
+  T items_[kMaxChannels]{};
+  std::size_t size_ = 0;
+};
+
 /// One transfer channel: a cache tier or a backing device under load.
+/// Channels carry no name; channel_name() resolves one by index.
 struct ChannelLoad {
-  std::string name;
   double bytes = 0.0;         ///< bytes this channel must deliver
   double bandwidth = 0.0;     ///< peak bytes/s of the channel
   double latency = 0.0;       ///< seconds per line when unloaded
@@ -42,17 +75,24 @@ struct Workload {
   /// Non-overlappable serial time (e.g. level-set barrier costs in
   /// SpTRSV); added on top of the overlapped compute/transfer maximum.
   double fixed_time = 0.0;
-  std::vector<ChannelLoad> channels;
+  ChannelArray<ChannelLoad> channels{};
 };
 
 /// Result of a prediction, with per-channel attribution for analysis.
 struct TimingBreakdown {
   double compute_time = 0.0;
-  std::vector<double> channel_times;   ///< aligned with Workload::channels
-  std::vector<double> channel_eff_bw;  ///< effective bandwidth used
+  ChannelArray<double> channel_times{};   ///< aligned with Workload::channels
+  ChannelArray<double> channel_eff_bw{};  ///< effective bandwidth used
   double total_time = 0.0;
-  std::string bound_by;  ///< "compute" or the limiting channel's name
+  /// Index of the limiting channel in Workload::channels, or kComputeBound.
+  std::size_t bound_channel = kComputeBound;
 };
+
+/// Name of channel `i` of a workload built for `platform` by
+/// kernels::build_workload: the tiers first, then the devices.
+/// kComputeBound resolves to "compute". The view refers into `platform`.
+/// Throws std::out_of_range for any other index past the last device.
+std::string_view channel_name(const Platform& platform, std::size_t i);
 
 /// Effective deliverable bandwidth of one channel under the given MLP:
 /// min(peak * (1 - tag_overhead), mlp_lines * line_size / latency) / penalty.

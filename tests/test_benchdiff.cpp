@@ -268,6 +268,38 @@ TEST_F(BenchDiffCli, ExitCodesMatchDiffResult) {
   EXPECT_NE(out_.str().find("REGRESSION"), std::string::npos);
 }
 
+/// The printed line for metric `name` in the last run's output.
+std::string printed_line(const std::string& out, const std::string& name) {
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);)
+    if (line.find(" " + name + " ") != std::string::npos) return line;
+  return "";
+}
+
+TEST_F(BenchDiffCli, ThroughputGainPrintsPositive) {
+  // A higher-is-better metric that gains 2.36x prints +136.0%, not the
+  // harmful-direction -136.0% that drives the verdict.
+  const auto base_path = path("gain_base.json");
+  const auto cur_path = path("gain_cur.json");
+  write(base_path, report({metric("throughput", 100.0, 0.02)}));
+  write(cur_path, report({metric("throughput", 236.0, 0.02)}));
+  EXPECT_EQ(run({base_path, cur_path}), 0);
+  const std::string line = printed_line(out_.str(), "throughput");
+  EXPECT_NE(line.find("improved"), std::string::npos) << line;
+  EXPECT_NE(line.find("+136.0%"), std::string::npos) << line;
+}
+
+TEST_F(BenchDiffCli, TimeDropPrintsNegative) {
+  const auto base_path = path("drop_base.json");
+  const auto cur_path = path("drop_cur.json");
+  write(base_path, report({metric("serial_ms", 50.0, 0.02, /*higher_is_better=*/false, "ms")}));
+  write(cur_path, report({metric("serial_ms", 20.0, 0.02, /*higher_is_better=*/false, "ms")}));
+  EXPECT_EQ(run({base_path, cur_path}), 0);
+  const std::string line = printed_line(out_.str(), "serial_ms");
+  EXPECT_NE(line.find("improved"), std::string::npos) << line;
+  EXPECT_NE(line.find("-60.0%"), std::string::npos) << line;
+}
+
 TEST_F(BenchDiffCli, ToleranceFlagsAreHonored) {
   const auto base_path = path("flags_base.json");
   const auto cur_path = path("flags_cur.json");

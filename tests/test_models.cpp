@@ -46,8 +46,8 @@ TEST(BuildWorkload, ChannelCountMatchesPlatform) {
   const LocalityModel m = stream_model(p, 1e6);
   const sim::Workload w = build_workload(p, m);
   EXPECT_EQ(w.channels.size(), p.tiers.size() + p.devices.size());
-  EXPECT_EQ(w.channels.front().name, "L1");
-  EXPECT_EQ(w.channels.back().name, "DDR3-2133");
+  EXPECT_EQ(sim::channel_name(p, 0), "L1");
+  EXPECT_EQ(sim::channel_name(p, w.channels.size() - 1), "DDR3-2133");
 }
 
 TEST(BuildWorkload, FlatModeSplitsBottomTraffic) {
@@ -57,7 +57,7 @@ TEST(BuildWorkload, FlatModeSplitsBottomTraffic) {
   const sim::Workload w = build_workload(p, m);
   const auto& mcdram = w.channels[w.channels.size() - 2];
   const auto& ddr = w.channels.back();
-  EXPECT_EQ(mcdram.name, "MCDRAM");
+  EXPECT_EQ(sim::channel_name(p, w.channels.size() - 2), "MCDRAM");
   EXPECT_GT(mcdram.bytes, 0.0);
   EXPECT_GT(ddr.bytes, 0.0);
   // The split follows bytes, not the decimal footprint: 16 GiB of the

@@ -10,6 +10,7 @@
 #include "kernels/spmv.hpp"
 #include "kernels/stream.hpp"
 #include "sim/config_io.hpp"
+#include "sim/timing.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/segmented_sort.hpp"
 #include "trace/recorder.hpp"
@@ -220,6 +221,94 @@ TEST(PlatformConfig, RejectsMalformedInput) {
   EXPECT_THROW(sim::parse_platform_string("tier = garbage\ndevice = name:D capacity:1 "
                                           "bandwidth:1 latency:1 on_package:0\n"),
                std::runtime_error);
+}
+
+/// Expects parse_platform_string(text) to throw std::runtime_error whose
+/// message starts "platform config line <line>: " and names `field`.
+void expect_config_error(const std::string& text, int line, const std::string& field) {
+  try {
+    (void)sim::parse_platform_string(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("platform config line " + std::to_string(line) + ": ", 0), 0u) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+const std::string kDevice = "device = name:D capacity:1024 bandwidth:1e9 latency:1e-7\n";
+const std::string kTier = "tier = name:T capacity:4096 line:64 ways:8 bandwidth:1e9 latency:1e-9";
+
+TEST(PlatformConfig, RejectsNegativeCapacity) {
+  // std::stoull used to negate this into 18446744073709551615.
+  expect_config_error("name = x\ntier = name:T capacity:-1 line:64 ways:8 bandwidth:1e9 "
+                      "latency:1e-9\n" + kDevice,
+                      2, "capacity");
+  expect_config_error("device = name:D capacity:-1 bandwidth:1e9 latency:1e-7\n", 1, "capacity");
+  expect_config_error(kDevice + "flat_opm_bytes = -4096\n", 2, "flat_opm_bytes");
+}
+
+TEST(PlatformConfig, RejectsZeroLineWaysOrCapacity) {
+  expect_config_error(kDevice + "tier = name:T capacity:4096 line:0 ways:8 bandwidth:1e9 "
+                                "latency:1e-9\n",
+                      2, "line");
+  expect_config_error(kDevice + "tier = name:T capacity:4096 line:64 ways:0 bandwidth:1e9 "
+                                "latency:1e-9\n",
+                      2, "ways");
+  expect_config_error(kDevice + "tier = name:T capacity:0 line:64 ways:8 bandwidth:1e9 "
+                                "latency:1e-9\n",
+                      2, "capacity");
+  expect_config_error("device = name:D capacity:0 bandwidth:1e9 latency:1e-7\n", 1, "capacity");
+}
+
+TEST(PlatformConfig, RejectsNegativeValues) {
+  expect_config_error("device = name:D capacity:1024 bandwidth:-5 latency:1e-7\n", 1,
+                      "bandwidth");
+  expect_config_error(kDevice + kTier + " tag_overhead:-0.1\n", 2, "tag_overhead");
+  expect_config_error(kDevice + "split_penalty = -1\n", 2, "split_penalty");
+  expect_config_error(kDevice + "cores = -4\n", 2, "cores");
+}
+
+TEST(PlatformConfig, RejectsNonFiniteValues) {
+  expect_config_error(kDevice + "dp_peak_flops = nan\n", 2, "dp_peak_flops");
+  expect_config_error(kDevice + "sp_peak_flops = inf\n", 2, "sp_peak_flops");
+  expect_config_error(kDevice + "frequency = 1e999\n", 2, "frequency");
+  expect_config_error("device = name:D capacity:1024 bandwidth:1e9 latency:nan\n", 1, "latency");
+}
+
+TEST(PlatformConfig, RejectsNonNumericWithLineNumber) {
+  // std::stoi used to throw a bare std::invalid_argument("stoi") here.
+  expect_config_error("# header\n" + kDevice + "cores = abc\n", 3, "cores");
+  expect_config_error(kDevice + "threads = \n", 2, "threads");
+  expect_config_error("device = name:D capacity:lots bandwidth:1e9 latency:1e-7\n", 1,
+                      "capacity");
+  expect_config_error(kDevice + "device = name:E capacity:1024 bandwidth:1e9 latency:1e-7 "
+                                "on_package:yes\n",
+                      2, "on_package");
+}
+
+TEST(PlatformConfig, RejectsTrailingText) {
+  expect_config_error(kDevice + "cores = 4x\n", 2, "cores");
+  expect_config_error(kDevice + "dp_peak_flops = 1e12 flop/s\n", 2, "dp_peak_flops");
+  expect_config_error("device = name:D capacity:1024 bandwidth:1e9GB latency:1e-7\n", 1,
+                      "bandwidth");
+  expect_config_error(kDevice + "tier = name:T capacity:4096 line:64.5 ways:8 bandwidth:1e9 "
+                                "latency:1e-9\n",
+                      2, "line");
+}
+
+TEST(PlatformConfig, RejectsUnknownFields) {
+  expect_config_error(kDevice + kTier + " bandwith:2e9\n", 2, "bandwith");
+}
+
+TEST(PlatformConfig, RejectsMoreChannelsThanTheCap) {
+  // Every tier and device is one timing-model channel; the ninth is refused
+  // on its own line.
+  std::string text = kDevice;
+  for (std::size_t i = 1; i < sim::kMaxChannels; ++i) text += kTier + "\n";
+  EXPECT_NO_THROW(sim::parse_platform_string(text));
+  expect_config_error(text + kTier + "\n", static_cast<int>(sim::kMaxChannels) + 1,
+                      std::to_string(sim::kMaxChannels));
 }
 
 TEST(PlatformConfig, CommentsAndBlanksIgnored) {

@@ -58,7 +58,7 @@ TEST_P(PlatformMatrix, AllPredictionsPhysical) {
     ASSERT_TRUE(std::isfinite(pred.gflops)) << p.mode_label;
     ASSERT_GT(pred.gflops, 0.0) << p.mode_label;
     ASSERT_GT(pred.seconds, 0.0) << p.mode_label;
-    ASSERT_FALSE(pred.timing.bound_by.empty()) << p.mode_label;
+    ASSERT_FALSE(sim::channel_name(p, pred.timing.bound_channel).empty()) << p.mode_label;
     // Nothing beats the machine's DP peak.
     ASSERT_LE(pred.gflops, p.dp_peak_flops / 1e9 * 1.0001) << p.mode_label;
     // Utilization is a fraction of peak.

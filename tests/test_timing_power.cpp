@@ -22,7 +22,8 @@ TEST(Timing, ComputeBoundWhenNoTraffic) {
   Workload w{.flops = 100e9, .compute_efficiency = 1.0, .mlp_lines = 64};
   const auto t = predict_time(flat_peak_platform(), w);
   EXPECT_DOUBLE_EQ(t.total_time, 1.0);
-  EXPECT_EQ(t.bound_by, "compute");
+  EXPECT_EQ(t.bound_channel, kComputeBound);
+  EXPECT_EQ(channel_name(flat_peak_platform(), t.bound_channel), "compute");
 }
 
 TEST(Timing, EfficiencyScalesComputeTime) {
@@ -38,37 +39,36 @@ TEST(Timing, SinglePrecisionUsesSpPeak) {
 
 TEST(Timing, BandwidthBoundChannelDominates) {
   Workload w{.flops = 1e9, .compute_efficiency = 1.0, .mlp_lines = 1e9};
-  w.channels.push_back({.name = "DDR", .bytes = 20e9, .bandwidth = 10e9, .latency = 100e-9});
+  w.channels.push_back({.bytes = 20e9, .bandwidth = 10e9, .latency = 100e-9});
   const auto t = predict_time(flat_peak_platform(), w);
   EXPECT_NEAR(t.total_time, 2.0, 1e-9);
-  EXPECT_EQ(t.bound_by, "DDR");
+  EXPECT_EQ(t.bound_channel, 0u);
+  EXPECT_EQ(channel_name(flat_peak_platform(), t.bound_channel), "DDR");
 }
 
 TEST(Timing, LatencyBoundWhenMlpLow) {
   // 1 outstanding line, 100 ns latency: 64 B / 100 ns = 0.64 GB/s,
   // far below the 10 GB/s channel peak.
-  ChannelLoad ch{.name = "DDR", .bytes = 1e9, .bandwidth = 10e9, .latency = 100e-9};
+  ChannelLoad ch{.bytes = 1e9, .bandwidth = 10e9, .latency = 100e-9};
   EXPECT_NEAR(effective_bandwidth(ch, 1.0, 64.0), 0.64e9, 1e6);
   EXPECT_NEAR(effective_bandwidth(ch, 1e6, 64.0), 10e9, 1e3);
 }
 
 TEST(Timing, TagOverheadShavesBandwidth) {
-  ChannelLoad ch{.name = "MC", .bytes = 1e9, .bandwidth = 100e9, .latency = 0.0,
-                 .tag_overhead = 0.10};
+  ChannelLoad ch{.bytes = 1e9, .bandwidth = 100e9, .latency = 0.0, .tag_overhead = 0.10};
   EXPECT_NEAR(effective_bandwidth(ch, 64, 64), 90e9, 1e3);
 }
 
 TEST(Timing, PenaltyDividesBandwidth) {
-  ChannelLoad ch{.name = "MC", .bytes = 1e9, .bandwidth = 100e9, .latency = 0.0,
-                 .penalty = 4.0};
+  ChannelLoad ch{.bytes = 1e9, .bandwidth = 100e9, .latency = 0.0, .penalty = 4.0};
   EXPECT_NEAR(effective_bandwidth(ch, 1e9, 64), 25e9, 1e3);
 }
 
 TEST(Timing, HigherLatencyDeviceLosesWhenLatencyBound) {
   // The paper's SpTRSV finding: at low MLP, MCDRAM (higher latency)
   // delivers less than DDR despite 5x the bandwidth.
-  ChannelLoad mcdram{.name = "MCDRAM", .bytes = 1e9, .bandwidth = 490e9, .latency = 160e-9};
-  ChannelLoad ddr{.name = "DDR", .bytes = 1e9, .bandwidth = 102e9, .latency = 130e-9};
+  ChannelLoad mcdram{.bytes = 1e9, .bandwidth = 490e9, .latency = 160e-9};
+  ChannelLoad ddr{.bytes = 1e9, .bandwidth = 102e9, .latency = 130e-9};
   const double mlp = 16.0;
   EXPECT_LT(effective_bandwidth(mcdram, mlp, 64), effective_bandwidth(ddr, mlp, 64));
   // ...and wins once MLP is plentiful.

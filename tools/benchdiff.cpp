@@ -24,10 +24,18 @@ const char* status_label(Status s) {
 
 std::string pct(double v) { return util::format_fixed(v * 100.0, 1) + "%"; }
 
-/// Signed percent with explicit sign, harmful direction positive.
+/// Signed percent with explicit sign.
 std::string signed_pct(double v) {
   if (v == 0.0) v = 0.0;  // collapse -0.0 so it prints "+0.0%"
   return (v >= 0.0 ? "+" : "") + pct(v);
+}
+
+/// The change as printed: (cur - base)/|base| in the metric's own
+/// direction, so a throughput gain and a longer time both read positive.
+/// MetricDiff::rel_delta keeps the harmful-positive sign for the verdict.
+std::string change_pct(const MetricDiff& row) {
+  if (row.base_median == 0.0) return row.cur_median == 0.0 ? "+0.0%" : "n/a";
+  return signed_pct((row.cur_median - row.base_median) / std::abs(row.base_median));
 }
 
 }  // namespace
@@ -156,7 +164,7 @@ void print_result(const DiffResult& result, const std::string& bench, std::ostre
           << ", absent from baseline (--update-baseline to gate it, "
              "--allow-new to waive)";
     } else {
-      out << util::pad(signed_pct(row.rel_delta), 9) << "(tol " << pct(row.tolerance)
+      out << util::pad(change_pct(row), 9) << "(tol " << pct(row.tolerance)
           << ", median " << util::format_fixed(row.base_median, 3) << " -> "
           << util::format_fixed(row.cur_median, 3) << ")";
     }
