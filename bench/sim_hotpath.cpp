@@ -52,6 +52,12 @@
 //                   gating them at 5x would measure the host, not the code.
 //   --sample-tol=X  extrapolation error ceiling (default 0.01)
 //   --out=PATH      JSON output path (default BENCH_sim.json)
+//
+// Every core here is measured on ONE thread: the harness sets the shared
+// pool to 0 workers, so the flat MemorySystem walks its trace directly
+// instead of replaying set slices on the pool. The flat/ref and
+// sampled/flat gates then compare serial cores and mean the same on 1
+// core as on 64.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -61,6 +67,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/sweep.hpp"
 #include "sim/memory_system.hpp"
 #include "sim/platform.hpp"
 #include "sim/window_sampler.hpp"
@@ -256,6 +263,7 @@ int main(int argc, char** argv) {
   using namespace opm;
 
   bench::init(argc, argv);
+  core::set_sweep_workers(0);  // serial cores only (see the header)
   const util::Cli cli(argc, argv);
   const bool quick = cli.has("quick");
   const double gate = cli.get_double("gate", quick ? 1.7 : 2.0);

@@ -1,10 +1,8 @@
 #include "core/sweep.hpp"
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "core/result_cache.hpp"
 #include "util/csv.hpp"
@@ -15,17 +13,9 @@ namespace opm::core {
 
 namespace {
 
-std::size_t default_workers() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
+/// The sweep log. The pool itself is util's shared pool (one pool, one
+/// knob, shared with the set-sliced simulator).
 struct Engine {
-  util::Mutex mutex;  // guards pool (re)construction
-  /// nullptr until the first parallel sweep constructs it.
-  std::unique_ptr<util::ThreadPool> pool OPM_GUARDED_BY(mutex);
-  std::atomic<std::size_t> workers{default_workers()};
-
   util::Mutex log_mutex;
   std::deque<SweepStats> log OPM_GUARDED_BY(log_mutex);
 };
@@ -58,14 +48,9 @@ void record(SweepStats s) {
 
 }  // namespace
 
-void set_sweep_workers(std::size_t n) {
-  Engine& e = engine();
-  util::MutexLock lock(e.mutex);
-  e.workers.store(n, std::memory_order_relaxed);
-  if (e.pool && e.pool->workers() != n) e.pool.reset();
-}
+void set_sweep_workers(std::size_t n) { util::set_shared_pool_workers(n); }
 
-std::size_t sweep_workers() { return engine().workers.load(std::memory_order_relaxed); }
+std::size_t sweep_workers() { return util::shared_pool_workers(); }
 
 std::vector<SweepStats> sweep_stats_log() {
   Engine& e = engine();
@@ -114,16 +99,6 @@ std::string sweep_stats_json(const SweepStats& s) {
 }
 
 namespace detail {
-
-util::ThreadPool* sweep_pool() {
-  Engine& e = engine();
-  const std::size_t n = e.workers.load(std::memory_order_relaxed);
-  if (n == 0) return nullptr;
-  util::MutexLock lock(e.mutex);
-  if (!e.pool || e.pool->workers() != n)
-    e.pool = std::make_unique<util::ThreadPool>(n);
-  return e.pool.get();
-}
 
 namespace {
 /// Sweep-nesting depth of the calling thread; only depth-1 sweeps record
@@ -191,12 +166,7 @@ namespace {
 /// Matches SweepTimer's "is this a top-level sweep?" rule without
 /// constructing the pool: a cache hit needs no workers, so a nil pool
 /// means the caller cannot be on a worker thread.
-bool top_level_sweep() {
-  if (t_sweep_depth > 0) return false;
-  Engine& e = engine();
-  util::MutexLock lock(e.mutex);
-  return !(e.pool && e.pool->on_worker_thread());
-}
+bool top_level_sweep() { return t_sweep_depth == 0 && !util::on_shared_pool_worker(); }
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -80,10 +81,12 @@ struct SweepStats {
   bool operator==(const SweepStats&) const = default;
 };
 
-/// Sets the process-wide sweep worker count. 0 runs every sweep inline
-/// and serial (today's pre-engine behavior); n > 0 (re)builds the shared
-/// pool with n workers. Not safe to call concurrently with running
-/// sweeps.
+/// Sets the process-wide sweep worker count — the size of util's shared
+/// pool, which the set-sliced simulator runs on too. 0 runs every sweep
+/// inline and serial (today's pre-engine behavior) and makes exact
+/// simulation walk its trace directly; n > 0 (re)builds the shared pool
+/// with n workers. Safe while sweeps or simulations run: they finish on
+/// the pool they hold, and later callers get the resized one.
 void set_sweep_workers(std::size_t n);
 
 /// Currently configured worker count (default: hardware concurrency).
@@ -106,9 +109,6 @@ std::string sweep_stats_json(const SweepStats& s);
 struct CacheProbe;  // core/result_cache.hpp
 
 namespace detail {
-
-/// Shared pool sized to sweep_workers(); nullptr when serial.
-util::ThreadPool* sweep_pool();
 
 /// Records a synthetic SweepStats entry for a cache-served sweep (no pool
 /// work ran). Follows SweepTimer's nesting rules: hits that happen inside
@@ -166,8 +166,9 @@ template <typename Fn>
 auto sweep_transform(const char* name, std::size_t count, std::size_t grain, Fn&& fn)
     -> std::vector<std::decay_t<decltype(fn(std::size_t{0}))>> {
   using T = std::decay_t<decltype(fn(std::size_t{0}))>;
-  util::ThreadPool* pool = detail::sweep_pool();
-  detail::SweepTimer timer(name, count, pool);
+  // Held for the whole sweep: a concurrent resize cannot pull it away.
+  const std::shared_ptr<util::ThreadPool> pool = util::shared_pool();
+  detail::SweepTimer timer(name, count, pool.get());
   if (pool == nullptr) {
     std::vector<T> out;
     out.reserve(count);

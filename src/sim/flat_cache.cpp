@@ -15,7 +15,7 @@ constexpr std::uint64_t kPreallocLimitBytes = 4ull << 20;
 
 }  // namespace
 
-FlatCache::FlatCache(CacheGeometry geometry) : geometry_(geometry) {
+FlatCache::FlatCache(CacheGeometry geometry, std::uint32_t slices) : geometry_(geometry) {
   if (geometry_.line_size == 0 || !std::has_single_bit(geometry_.line_size))
     throw std::invalid_argument("cache line size must be a power of two");
   if (geometry_.associativity == 0) throw std::invalid_argument("associativity must be >= 1");
@@ -49,7 +49,7 @@ FlatCache::FlatCache(CacheGeometry geometry) : geometry_(geometry) {
   std::uint64_t footprint = num_sets_ * assoc_ * sizeof(std::uint64_t);
   if (use_stamp_) footprint *= 2;
   if (use_mru_) footprint += num_sets_;
-  if (footprint <= kPreallocLimitBytes)
+  if (footprint * std::max<std::uint32_t>(slices, 1) <= kPreallocLimitBytes)
     for (std::uint64_t p = 0; p < num_pages; ++p) allocate_page(p);
 }
 

@@ -51,7 +51,12 @@ namespace opm::sim {
 
 class FlatCache {
  public:
-  explicit FlatCache(CacheGeometry geometry);
+  /// `slices` > 1 marks this cache as one of that many equal set slices
+  /// of a larger cache (sim/memory_system.hpp's sliced replay): the
+  /// choice between preallocating every page and paging on first touch
+  /// then follows the whole cache's footprint, so K slices never commit
+  /// memory that one lazily paged cache would not have touched.
+  explicit FlatCache(CacheGeometry geometry, std::uint32_t slices = 1);
 
   // The lookup entries below (access/try_hit/contains/install/invalidate)
   // are defined inline at the bottom of this header: the tier walk in

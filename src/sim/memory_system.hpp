@@ -11,6 +11,7 @@
 #include "sim/flat_cache.hpp"
 #include "sim/platform.hpp"
 #include "sim/prefetcher.hpp"
+#include "util/thread_pool.hpp"
 
 /// Trace-driven simulation of a full platform memory hierarchy.
 ///
@@ -32,9 +33,35 @@
 /// takes fast paths the reference never compiles (`if constexpr` on
 /// FastPathCache): an inline L1 probe in access_range() that skips the
 /// full tier walk on an L1 hit, a miss continuation that enters the walk
-/// without re-scanning the L1 set, and the allocation-free
-/// StridePrefetcher::observe_into() entry. Sanitizer CI exercises the
+/// without re-scanning the L1 set, and prefetch fills that skip the hit
+/// scan of a line already proved absent. Sanitizer CI exercises the
 /// reference instantiation so TSan/ASan keep seeing the map-based model.
+///
+/// Set-sliced replay (flat instantiation only; docs/MODEL.md §11). Every
+/// tier picks its set from the low bits of the line index, so when K
+/// divides every tier's set count, the lines with index ≡ s (mod K) only
+/// ever meet each other: same sets, same victims, same fills. The system
+/// then runs as a sequential *front* plus K independent *slices*:
+///
+///   - the front owns the only state that crosses sets — the stride
+///     prefetcher's stream table (it trains on the demand line sequence
+///     alone, never on hits or misses) and the non-temporal
+///     write-combining line — and turns each demand line into ops: the
+///     prefetch fills it triggers, then the demand probe itself;
+///   - each op goes to the slice of its line, renumbered l -> l >> log2 K
+///     against a hierarchy of capacity/K (the slice's sets map 1:1 onto
+///     the original sets of its residue, with the same tags);
+///   - slices replay their bounded op buffers on util's shared pool,
+///     double-buffered per slice: while one of a slice's buffers replays,
+///     the front fills the other (the slice still sees its ops in trace
+///     order: a buffer is handed out only once the slice's previous one
+///     has finished);
+///   - report() sums the slices' counters in slice order.
+///
+/// The slices' counters sum to exactly the sequential walk's, at any
+/// worker count. K comes from the platform alone (set_slices()); with no
+/// pool workers, or K = 1, the system is one full-geometry hierarchy
+/// walked directly on the caller's thread.
 namespace opm::sim {
 
 /// Byte accounting for one tier or device after a simulation run.
@@ -79,6 +106,94 @@ concept FastPathCache = requires(C c, std::uint64_t addr, bool is_write) {
   { c.install_absent(addr, is_write) } -> std::same_as<CacheResult>;
 };
 
+/// Set slices an exact replay of `platform` splits into: the largest
+/// power of two <= 16 that divides every tier's set count. 1
+/// when a tier uses random replacement (its victim RNG advances across
+/// sets), when a geometry is one the cache constructors reject, or when
+/// the line size is below 8 bytes (a one-set slice must still meet
+/// FlatCache's line_size * sets >= 8).
+std::uint32_t set_slices(const Platform& platform);
+
+/// One hierarchy walk: the cache stack of one set slice with its own
+/// counters — or, with one slice, the whole hierarchy. Line addresses in
+/// and out are slice-local (line index >> log2 slices); they are mapped
+/// back to their original addresses only where an address is routed to a
+/// device, so flat and hybrid KNL routing stays exact.
+template <class CacheT>
+class HierarchyT {
+ public:
+  /// `slices` must divide every tier's set count (set_slices()); this is
+  /// the slice of lines whose index ≡ `residue` (mod slices).
+  HierarchyT(const Platform& platform, std::uint32_t slices, std::uint32_t residue);
+
+  /// One demand line: the tier walk, with a FastPathCache's inline L1
+  /// probe and probe-free miss continuation.
+  void demand(std::uint64_t line_addr, bool is_write) {
+    if constexpr (FastPathCache<CacheT>) {
+      if (fast_path_ok_) {
+        if (caches_[0].try_hit(line_addr, is_write))
+          ++tier_hits_[0];
+        else
+          miss_walk(line_addr, is_write);
+        return;
+      }
+    }
+    walk_from(0, line_addr, is_write);
+  }
+  /// Installs a prefetched line into the standard tiers if absent.
+  void prefetch_line(std::uint64_t line_addr);
+  /// A non-temporal line write that left the write-combining buffer:
+  /// drops every cached copy and writes the line to its device.
+  void store_nt_line(std::uint64_t line_addr);
+
+  /// Op encoding of the sliced replay's buffers: the slice-local line
+  /// index shifted left by 2, kind in the low bits.
+  enum Op : std::uint64_t { kLoadOp = 0, kStoreOp = 1, kPrefetchOp = 2, kNtOp = 3 };
+  /// Replays `n` encoded ops in order.
+  void replay(const std::uint64_t* ops, std::size_t n);
+
+  void reset();
+
+ private:
+  template <class>
+  friend class MemorySystemT;  // sums the slices' counters
+
+
+  /// Walks tiers [start, n) for one line; from tier 1 when the fast path
+  /// has already settled tier 0.
+  void walk_from(std::size_t start, std::uint64_t line_addr, bool is_write);
+  /// Fast-path miss continuation: takes the tier-0 miss via
+  /// miss_after_probe() (try_hit just proved the line absent — no second
+  /// set scan) and walks the remaining tiers.
+  void miss_walk(std::uint64_t line_addr, bool is_write)
+    requires FastPathCache<CacheT>;
+  /// Handles a line evicted from tier `from`: fills the victim tier below
+  /// (clean or dirty), pushes dirty lines into the next lower tier, and
+  /// ultimately accounts device writebacks.
+  void evict_from(std::size_t from, std::uint64_t line_addr, bool dirty);
+  /// Device backing the slice-local line address `line_addr`.
+  std::size_t device_of(std::uint64_t line_addr) const {
+    const std::uint64_t line = ((line_addr >> line_shift_) << slice_shift_) | residue_;
+    return address_map_.device_for(line << line_shift_);
+  }
+
+  std::vector<CacheT> caches_;
+  std::vector<std::uint64_t> tier_hits_;
+  std::vector<std::uint64_t> tier_writebacks_;
+  std::vector<std::uint64_t> device_lines_;
+  std::vector<std::uint64_t> device_writeback_lines_;
+  std::vector<std::uint64_t> device_prefetch_lines_;
+  std::uint64_t prefetch_fills_ = 0;
+  std::vector<TierKind> kinds_;
+  AddressMap address_map_;
+  std::uint32_t line_shift_ = 6;
+  std::uint32_t slice_shift_ = 0;
+  std::uint64_t residue_ = 0;
+  /// Tier 0 is a standard cache (a victim front tier would need its
+  /// probe-invalidate-promote dance before the inline L1 probe).
+  bool fast_path_ok_ = false;
+};
+
 template <class CacheT>
 class MemorySystemT {
  public:
@@ -100,46 +215,35 @@ class MemorySystemT {
   /// miss_after_probe() instead of re-scanning the set. A prefetcher, when
   /// attached, observes each line before its L1 probe — the same ordering
   /// as the generic walk (prefetch fills can evict lines). Behavior is
-  /// identical to calling access() — access() IS this.
+  /// identical to calling access() — access() IS this. A sliced system
+  /// buffers the line's ops instead (see the header comment).
   void access_range(std::uint64_t addr, std::uint64_t size, bool is_write) {
     if (size == 0) return;
     bytes_ += size;
     const std::uint64_t line_mask = static_cast<std::uint64_t>(line_size_ - 1);
-    if constexpr (FastPathCache<CacheT>) {
-      // fast_path_ok_: tier 0 is a standard cache (a victim front tier
-      // would need its probe-invalidate-promote dance first).
-      if (fast_path_ok_) {
-        if ((addr & line_mask) + size <= line_size_) {
-          // Single-line access: the dominant shape — kernels issue
-          // element-sized touches, lines are 64 bytes.
-          ++accesses_;
-          const std::uint64_t line = addr & ~line_mask;
-          if (prefetcher_ != nullptr) observe_and_prefetch(line);
-          if (caches_[0].try_hit(line, is_write)) {
-            ++tier_hits_[0];
-            return;
-          }
-          miss_walk(line, is_write);
-          return;
-        }
-        const std::uint64_t first = addr & ~line_mask;
-        const std::uint64_t last = (addr + size - 1) & ~line_mask;
-        for (std::uint64_t line = first; line <= last; line += line_size_) {
-          ++accesses_;
-          if (prefetcher_ != nullptr) observe_and_prefetch(line);
-          if (caches_[0].try_hit(line, is_write))
-            ++tier_hits_[0];
-          else
-            miss_walk(line, is_write);
-        }
-        return;
-      }
-    }
     const std::uint64_t first = addr & ~line_mask;
     const std::uint64_t last = (addr + size - 1) & ~line_mask;
+    if (slice_count_ > 1) {
+      for (std::uint64_t line = first; line <= last; line += line_size_) {
+        ++accesses_;
+        if (prefetcher_ != nullptr) observe_and_enqueue(line);
+        enqueue(line, is_write ? Hierarchy::kStoreOp : Hierarchy::kLoadOp);
+      }
+      return;
+    }
+    Hierarchy& h = slices_.front();
+    if (first == last) {
+      // Single-line access: the dominant shape — kernels issue
+      // element-sized touches, lines are 64 bytes.
+      ++accesses_;
+      if (prefetcher_ != nullptr) observe_and_prefetch(h, first);
+      h.demand(first, is_write);
+      return;
+    }
     for (std::uint64_t line = first; line <= last; line += line_size_) {
       ++accesses_;
-      access_line(line, is_write);
+      if (prefetcher_ != nullptr) observe_and_prefetch(h, line);
+      h.demand(line, is_write);
     }
   }
 
@@ -159,7 +263,7 @@ class MemorySystemT {
   /// device prefetch traffic, not demand traffic.
   void enable_prefetcher(std::size_t streams = 16, std::size_t depth = 4);
   /// Prefetcher statistics (zeros when disabled).
-  std::uint64_t prefetch_fills() const { return prefetch_fills_; }
+  std::uint64_t prefetch_fills() const;
 
   /// Snapshot of traffic accounted so far.
   TrafficReport report() const;
@@ -169,68 +273,88 @@ class MemorySystemT {
 
   const Platform& platform() const { return platform_; }
   /// Raw per-tier cache counters (differential tests compare tier-by-tier).
-  const CacheStats& tier_stats(std::size_t i) const { return caches_[i].stats(); }
+  const CacheStats& tier_stats(std::size_t i) const;
   /// Line-granular demand accesses simulated so far.
   std::uint64_t lines_simulated() const { return accesses_; }
+  /// Set slices this system replays (1 = direct walk on the caller's
+  /// thread). Fixed at construction: set_slices() of the platform when
+  /// the shared pool had workers, else 1.
+  std::uint32_t slices() const { return slice_count_; }
 
  private:
-  void access_line(std::uint64_t line_addr, bool is_write);
-  /// Walks tiers [start, n) for one line — access_line()'s loop, callable
-  /// from tier 1 when the fast path has already settled tier 0.
-  void walk_from(std::size_t start, std::uint64_t line_addr, bool is_write);
-  /// Fast-path miss continuation: takes the tier-0 miss via
-  /// miss_after_probe() (try_hit just proved the line absent — no second
-  /// set scan) and walks the remaining tiers.
-  void miss_walk(std::uint64_t line_addr, bool is_write)
-    requires FastPathCache<CacheT>;
-  /// Fast-path pre-walk prefetcher step: trains on the demand line and
-  /// installs the suggested targets, in access_line()'s exact order —
-  /// prefetch fills (and their evictions) land before the L1 probe.
-  void observe_and_prefetch(std::uint64_t line_addr)
-    requires FastPathCache<CacheT>;
-  /// Handles a line evicted from tier `from`: fills the victim tier below
-  /// (clean or dirty), pushes dirty lines into the next lower tier, and
-  /// ultimately accounts device writebacks.
-  void evict_from(std::size_t from, std::uint64_t line_addr, bool dirty);
-  /// Counts a demand line served by the device backing `line_addr`.
-  void serve_from_device(std::uint64_t line_addr);
-  /// Counts a writeback line landing on the device backing `line_addr`.
-  void writeback_to_device(std::uint64_t line_addr);
-  /// Installs a prefetched line into the standard tiers if absent.
-  void prefetch_line(std::uint64_t line_addr);
+  using Hierarchy = HierarchyT<CacheT>;
+  /// Ops a slice buffers before handing them to the pool. With two
+  /// buffers per slice, a system holds at most 2 * K * kSliceOps ops.
+  static constexpr std::size_t kSliceOps = 4096;
+
+  /// Direct path: trains the prefetcher on the demand line and installs
+  /// the suggested targets, in the generic walk's exact order — prefetch
+  /// fills (and their evictions) land before the L1 probe.
+  void observe_and_prefetch(Hierarchy& h, std::uint64_t line_addr);
+  /// Sliced path: the same training, issuing each target as a prefetch
+  /// op to its own slice ahead of the demand op.
+  void observe_and_enqueue(std::uint64_t line_addr);
+  /// Appends one op to the buffer of its line's slice; hands a full
+  /// buffer to the pool.
+  void enqueue(std::uint64_t line_addr, std::uint64_t kind) {
+    const std::uint64_t line = line_addr >> line_shift_;
+    const auto s = static_cast<std::size_t>(line & (slice_count_ - 1));
+    SliceBuffer& b = buffers_[s];
+    b.filling[b.count] = ((line >> slice_shift_) << 2) | kind;
+    if (++b.count == kSliceOps) hand_off(s);
+  }
+  /// Waits for slice `s`'s previous replay, then starts replaying its
+  /// filling buffer on the pool and gives the front the other one.
+  void hand_off(std::size_t s) const;
+  /// Replays every accepted op and waits for it: the slices are then
+  /// exactly the sequential walk's state.
+  void flush() const;
   /// Publishes accesses_ deltas to the "sim.lines_simulated" counter.
   /// Watermark scheme: the hot path only bumps the local accesses_; the
   /// process-wide atomic is touched at report()/reset()/destruction.
   void publish_lines() const;
-  void refresh_fast_path() {
-    fast_path_ok_ = !platform_.tiers.empty() &&
-                    platform_.tiers[0].kind == TierKind::kStandard;
-  }
 
   Platform platform_;
   std::unique_ptr<StridePrefetcher> prefetcher_;
   /// Reused target buffer for StridePrefetcher::observe_into (depth slots).
   std::unique_ptr<std::uint64_t[]> prefetch_targets_;
-  std::uint64_t prefetch_fills_ = 0;
-  std::vector<std::uint64_t> device_prefetch_lines_;
   /// One-entry write-combining buffer for non-temporal stores.
   std::uint64_t nt_wc_line_ = ~0ull;
-  AddressMap address_map_;
-  std::vector<CacheT> caches_;
-  std::vector<std::uint64_t> tier_hits_;
-  std::vector<std::uint64_t> tier_writebacks_;
-  std::vector<std::uint64_t> device_lines_;
-  std::vector<std::uint64_t> device_writeback_lines_;
   std::uint64_t accesses_ = 0;
   std::uint64_t bytes_ = 0;
   mutable std::uint64_t published_lines_ = 0;
   std::uint32_t line_size_ = 64;
-  bool fast_path_ok_ = false;
+  std::uint32_t line_shift_ = 6;
+  std::uint32_t slice_count_ = 1;
+  std::uint32_t slice_shift_ = 0;
+  /// The hierarchies: one per set slice. A flush (from the const
+  /// report()/tier_stats() too) only catches the slices up with ops the
+  /// front already accepted, so they are mutable.
+  mutable std::vector<Hierarchy> slices_;
+  /// Pool the slices replay on; held for this system's lifetime.
+  std::shared_ptr<util::ThreadPool> pool_;
+  /// A slice's two op buffers: the front appends to `filling` while the
+  /// pool replays `replaying`. Each slice hands off on its own, so a slice
+  /// waits only for its own previous replay — never for the others.
+  struct SliceBuffer {
+    std::uint64_t* filling = nullptr;
+    std::uint64_t* replaying = nullptr;
+    std::size_t count = 0;  ///< ops in `filling`
+    /// The replay of `replaying` while it runs. Destroying it waits.
+    std::unique_ptr<util::ThreadPool::Fork> replay;
+  };
+  mutable std::vector<CacheStats> summed_stats_;  ///< tier_stats() of a sliced system
+  std::unique_ptr<std::uint64_t[]> ops_;  ///< storage of every slice's two buffers
+  /// Declared last: destroying it waits for running replays before the
+  /// op storage and the slices go away.
+  mutable std::vector<SliceBuffer> buffers_;
 };
 
 // The two supported instantiations live in memory_system.cpp; the extern
 // declarations keep every including TU from re-instantiating the walk
 // (the inline access_range above still inlines at call sites).
+extern template class HierarchyT<FlatCache>;
+extern template class HierarchyT<SetAssociativeCache>;
 extern template class MemorySystemT<FlatCache>;
 extern template class MemorySystemT<SetAssociativeCache>;
 

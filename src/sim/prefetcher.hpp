@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/simd_probe.hpp"
+
 /// Hardware stride-prefetcher model for the trace-driven simulator.
 ///
 /// Both evaluated machines prefetch aggressively on sequential streams —
@@ -42,15 +44,26 @@ class StridePrefetcher {
   /// Number of stream detections (an access continuing a known stream).
   std::uint64_t stream_hits() const { return stream_hits_; }
 
+  /// The stream table as the SIMD match reads it (tests compare backends
+  /// on live prefetcher state through this).
+  simd::StreamTableView table() const {
+    return {last_line_.data(),
+            stride_.data(),
+            last_use_.data(),
+            static_cast<std::uint32_t>(streams_),
+            static_cast<std::uint32_t>(stride_.size()),
+            tracked_,
+            oldest_};
+  }
+
   void reset();
 
  private:
-  struct Stream {
-    std::uint64_t last_line = 0;
-    std::int64_t stride = 0;  ///< in lines; 0 = not yet established
-    std::uint64_t last_use = 0;
-    bool valid = false;
-  };
+  static constexpr std::uint32_t kNone = ~0u;
+
+  /// Makes stream `s` the most recently used; `was_free` when it was just
+  /// allocated into a free slot (not yet on the recency list).
+  void touch(std::uint32_t s, bool was_free);
 
   std::size_t streams_;
   std::size_t depth_;
@@ -62,7 +75,21 @@ class StridePrefetcher {
   std::uint64_t clock_ = 0;
   std::uint64_t issued_ = 0;
   std::uint64_t stream_hits_ = 0;
-  std::vector<Stream> table_;
+  /// Stream table, structure of arrays padded to a multiple of 4 lanes
+  /// (simd::StreamTableView): line index of the last access, stride in
+  /// lines (0 = not yet established, simd::kFreeStride = free slot), and
+  /// clock of the last use.
+  std::vector<std::int64_t> last_line_;
+  std::vector<std::int64_t> stride_;
+  std::vector<std::uint64_t> last_use_;
+  /// Recency list of the tracked streams, oldest_ to newest_: every
+  /// observe touches exactly one stream, so the list order is last_use
+  /// order and a full table's victim is oldest_ in O(1).
+  std::vector<std::uint32_t> newer_;
+  std::vector<std::uint32_t> older_;
+  std::uint32_t newest_ = kNone;
+  std::uint32_t oldest_ = kNone;
+  std::uint32_t tracked_ = 0;
 };
 
 }  // namespace opm::sim

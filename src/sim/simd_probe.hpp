@@ -39,6 +39,12 @@
 /// with one predictable `__builtin_cpu_supports("avx2")` test — a load and
 /// branch against libgcc's pre-main cpuid cache, not an indirect call,
 /// because an indirect call would cost more than the probe it guards.
+///
+/// The same header holds the stride prefetcher's stream match
+/// (match_stream*, below): one whole-table compare per demand line instead
+/// of a scan with data-dependent branches, under the same contract — a
+/// scalar oracle, an AVX2 path behind a target attribute, one runtime
+/// test, and a battery in self_check().
 namespace opm::sim::simd {
 
 /// Dirty bit of the packed way word; must match FlatCache::kDirty.
@@ -122,6 +128,176 @@ inline std::uint32_t find_way(const std::uint64_t* meta, std::uint32_t assoc,
   return find_way_scalar(meta, assoc, want);
 }
 
+// ------------------------------------------------------- stream match --
+
+/// Stride of an untracked (free) stream slot. No delta between two line
+/// indices below 2^62 equals it, so a free slot never matches.
+inline constexpr std::int64_t kFreeStride = INT64_MIN;
+
+/// The stride prefetcher's stream table in structure-of-arrays form
+/// (sim/prefetcher.hpp owns the storage). The arrays hold `lanes` entries
+/// — `streams` rounded up to a multiple of 4 — and the lanes past
+/// `streams` are padding that stays free. A stride of 0 marks a nascent
+/// stream (one access seen, stride not yet locked in). `tracked` counts
+/// the streams in use and `oldest` names the least recently used one (the
+/// smallest last_use) whenever all of them are.
+struct StreamTableView {
+  const std::int64_t* last_line;
+  const std::int64_t* stride;
+  const std::uint64_t* last_use;
+  std::uint32_t streams;
+  std::uint32_t lanes;
+  std::uint32_t tracked;
+  std::uint32_t oldest;
+};
+
+/// Outcome of one lookup. matched: `slot` is the first stream, in table
+/// order, that `line` continues — an established stream whose stride
+/// equals the delta, or a nascent one within ±2 lines (delta != 0).
+/// Otherwise `slot` is where to allocate: the LAST free stream if any,
+/// else the stream with the smallest last_use (unique: the prefetcher's
+/// clock is strictly increasing).
+struct StreamMatch {
+  std::uint32_t slot = 0;
+  bool matched = false;
+  bool operator==(const StreamMatch&) const = default;
+};
+
+/// Scalar oracle: the prefetcher's original table scan, over the SoA view.
+inline StreamMatch match_stream_scalar(const StreamTableView& t, std::int64_t line) {
+  constexpr std::uint32_t kNone = ~0u;
+  std::uint32_t free_slot = kNone;
+  std::uint32_t oldest = kNone;
+  for (std::uint32_t s = 0; s < t.streams; ++s) {
+    if (t.stride[s] == kFreeStride) {
+      free_slot = s;
+      continue;
+    }
+    const std::int64_t delta = line - t.last_line[s];
+    if (t.stride[s] != 0 && delta == t.stride[s]) return {s, true};
+    if (t.stride[s] == 0 && delta != 0 && delta >= -2 && delta <= 2) return {s, true};
+    if (oldest == kNone || t.last_use[s] < t.last_use[oldest]) oldest = s;
+  }
+  return {free_slot != kNone ? free_slot : oldest, false};
+}
+
+#if OPM_SIMD_X86
+
+/// AVX2 stream match: four streams per compare, branch-free within a
+/// group; the first set bit of the hit mask is the first match in table
+/// order. With e = (delta == stride) and n = (stride == 0), a lane
+/// matches iff (n & |delta| <= 2) ^ e: a nascent lane then needs
+/// 0 < |delta| <= 2, an established lane delta == stride, and a free lane
+/// (kFreeStride) neither. Free slots are only searched while the table is
+/// not full; a full table evicts the view's least recently used stream.
+__attribute__((target("avx2"))) inline StreamMatch match_stream_avx2(const StreamTableView& t,
+                                                                     std::int64_t line) {
+  const __m256i l = _mm256_set1_epi64x(line);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i minus3 = _mm256_set1_epi64x(-3);
+  const __m256i plus3 = _mm256_set1_epi64x(3);
+  for (std::uint32_t g = 0; g < t.lanes; g += 4) {
+    const __m256i last = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.last_line + g));
+    const __m256i stride = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.stride + g));
+    const __m256i delta = _mm256_sub_epi64(l, last);
+    const __m256i near = _mm256_and_si256(_mm256_cmpgt_epi64(delta, minus3),
+                                          _mm256_cmpgt_epi64(plus3, delta));
+    const __m256i hit = _mm256_xor_si256(
+        _mm256_and_si256(_mm256_cmpeq_epi64(stride, zero), near), _mm256_cmpeq_epi64(delta, stride));
+    const int hits = _mm256_movemask_pd(_mm256_castsi256_pd(hit));
+    if (hits != 0)
+      return {g + static_cast<std::uint32_t>(__builtin_ctz(static_cast<unsigned>(hits))), true};
+  }
+  if (t.tracked == t.streams) return {t.oldest, false};
+  const __m256i free_stride = _mm256_set1_epi64x(kFreeStride);
+  std::uint32_t free_slot = 0;
+  for (std::uint32_t g = 0; g < t.lanes; g += 4) {
+    const __m256i stride = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.stride + g));
+    const unsigned in_table = t.streams - g >= 4 ? 0xfu : (1u << (t.streams - g)) - 1u;
+    const unsigned free_lanes = static_cast<unsigned>(_mm256_movemask_pd(
+                                    _mm256_castsi256_pd(_mm256_cmpeq_epi64(stride, free_stride)))) &
+                                in_table;
+    if (free_lanes != 0)
+      free_slot = g + 31u - static_cast<std::uint32_t>(__builtin_clz(free_lanes));
+  }
+  return {free_slot, false};
+}
+
+#endif  // OPM_SIMD_X86
+
+/// Hot-path stream match used by StridePrefetcher::observe_into.
+inline StreamMatch match_stream(const StreamTableView& t, std::int64_t line) {
+#if OPM_SIMD_X86
+#if defined(__AVX2__)
+  return match_stream_avx2(t, line);
+#else
+  if (__builtin_cpu_supports("avx2")) return match_stream_avx2(t, line);
+#endif
+#endif
+  return match_stream_scalar(t, line);
+}
+
+/// Battery for the stream match: seeded line streams — ±1 and ±2 line
+/// strides in both directions, repeat touches, random jumps — replayed
+/// into tables of 1–17 streams under the prefetcher's update rule, with
+/// streams dropped now and then so free slots open mid-table (ties the
+/// LAST free slot must win). At every step each compiled backend and the
+/// dispatching match_stream() must agree with the scalar oracle.
+inline bool stream_match_self_check() {
+  constexpr std::uint32_t kTables[] = {1, 2, 3, 4, 5, 7, 8, 16, 17};
+  constexpr std::uint32_t kMaxLanes = 20;
+  for (const std::uint32_t streams : kTables) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      std::int64_t last_line[kMaxLanes] = {};
+      std::int64_t stride[kMaxLanes];
+      std::uint64_t last_use[kMaxLanes] = {};
+      for (std::int64_t& s : stride) s = kFreeStride;
+      std::uint64_t rng = seed * 0x9e3779b97f4a7c15ull;
+      const auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+      };
+      std::int64_t heads[6] = {1000, 5000, 90000, 200, 70000, 3000};
+      constexpr std::int64_t kSteps[6] = {1, -1, 2, -2, 1, 2};
+      for (std::uint64_t clock = 1; clock <= 3000; ++clock) {
+        std::int64_t line;
+        const std::uint64_t pick = next() % 10;
+        if (pick < 6) {
+          heads[pick] += kSteps[pick];  // interleaved strided streams
+          line = heads[pick];
+        } else if (pick < 8) {
+          line = static_cast<std::int64_t>(next() % 100000);  // random gather
+        } else if (pick < 9) {
+          line = heads[next() % 6];  // repeat touch: delta 0
+        } else {
+          stride[next() % streams] = kFreeStride;  // drop a stream: a free slot mid-table
+          continue;
+        }
+        // tracked / oldest as the prefetcher keeps them.
+        StreamTableView t{last_line, stride, last_use, streams, (streams + 3) & ~3u, 0, 0};
+        for (std::uint32_t s = 0; s < streams; ++s) {
+          if (stride[s] == kFreeStride) continue;
+          if (t.tracked++ == 0 || last_use[s] < last_use[t.oldest]) t.oldest = s;
+        }
+        const StreamMatch oracle = match_stream_scalar(t, line);
+        if (match_stream(t, line) != oracle) return false;
+#if OPM_SIMD_X86
+        if (__builtin_cpu_supports("avx2") && match_stream_avx2(t, line) != oracle) return false;
+#endif
+        // The prefetcher's update rule (sim/prefetcher.cpp).
+        const std::uint32_t s = oracle.slot;
+        if (oracle.matched && stride[s] == 0) stride[s] = line - last_line[s];
+        if (!oracle.matched) stride[s] = 0;
+        last_line[s] = line;
+        last_use[s] = clock;
+      }
+    }
+  }
+  return true;
+}
+
 /// Name of the widest backend find_way() can reach on this build + host.
 inline const char* backend_name() {
 #if OPM_SIMD_X86
@@ -135,8 +311,8 @@ inline const char* backend_name() {
 /// Runtime verification battery: replays every reachable set-state shape
 /// (empty, partial prefix, full, match at each way, dirty variants, stale
 /// invalidated tags, zeroed suffix) through every compiled backend and the
-/// dispatching find_way(), and fails if any disagrees with the scalar
-/// oracle. Run from tests and the CI perf job on the machine that will run
+/// dispatching find_way(), then runs stream_match_self_check(), and fails
+/// if any backend disagrees with its scalar oracle. Run from tests and the CI perf job on the machine that will run
 /// the simulations — this is the "runtime-verified" half of the dispatch
 /// contract.
 inline bool self_check() {
@@ -174,7 +350,7 @@ inline bool self_check() {
       }
     }
   }
-  return true;
+  return stream_match_self_check();
 }
 
 }  // namespace opm::sim::simd

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -15,8 +15,37 @@ void require_positive(index_t n) {
   if (n <= 0) throw std::invalid_argument("generator: n must be positive");
 }
 
+/// Sizes a generator's output for about `row_nnz` entries per row (the
+/// target plus the guaranteed diagonal), so the entry arrays are not
+/// regrown and copied row after row.
+void reserve_rows(Csr& out, index_t n, double row_nnz) {
+  const auto entries = static_cast<std::size_t>(static_cast<double>(n) * std::max(row_nnz, 1.0));
+  out.row_ptr.reserve(static_cast<std::size_t>(n) + 1);
+  out.col_idx.reserve(entries);
+  out.values.reserve(entries);
+}
+
+/// A row's column set: a small vector kept sorted and unique. Rows hold
+/// tens of columns, so a binary search plus a short shift beats a
+/// node-based set, and the column order — which sets the order of the
+/// value draws below — is the same.
+class RowColumns {
+ public:
+  void insert(index_t c) {
+    const auto it = std::lower_bound(cols_.begin(), cols_.end(), c);
+    if (it == cols_.end() || *it != c) cols_.insert(it, c);
+  }
+  std::size_t size() const { return cols_.size(); }
+  void clear() { cols_.clear(); }
+  auto begin() const { return cols_.begin(); }
+  auto end() const { return cols_.end(); }
+
+ private:
+  std::vector<index_t> cols_;
+};
+
 /// Emits one row given a sorted unique column set, guaranteeing r itself.
-void emit_row(Csr& out, index_t r, std::set<index_t>& cols, util::Xoshiro256& rng) {
+void emit_row(Csr& out, index_t r, RowColumns& cols, util::Xoshiro256& rng) {
   cols.insert(r);
   for (index_t c : cols) {
     out.col_idx.push_back(c);
@@ -38,7 +67,8 @@ Csr make_banded(index_t n, index_t half_bandwidth, double avg_row_nnz, std::uint
   const index_t band = std::max<index_t>(half_bandwidth, 1);
   const double width = static_cast<double>(2 * band + 1);
   const double keep = std::clamp(avg_row_nnz / width, 0.0, 1.0);
-  std::set<index_t> cols;
+  reserve_rows(out, n, keep * width + 1.0);
+  RowColumns cols;
   for (index_t r = 0; r < n; ++r) {
     const index_t lo = std::max<index_t>(0, r - band);
     const index_t hi = std::min<index_t>(n - 1, r + band);
@@ -54,8 +84,9 @@ Csr make_random_uniform(index_t n, double avg_row_nnz, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   Csr out;
   out.rows = out.cols = n;
+  reserve_rows(out, n, std::min(avg_row_nnz, static_cast<double>(n)) + 1.0);
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  RowColumns cols;
   for (index_t r = 0; r < n; ++r) {
     // Poisson-ish row length around the target average.
     const auto target = static_cast<std::size_t>(
@@ -98,7 +129,7 @@ Csr make_block_diagonal(index_t n, index_t block, double fill, std::uint64_t see
   Csr out;
   out.rows = out.cols = n;
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  RowColumns cols;
   for (index_t r = 0; r < n; ++r) {
     const index_t b0 = (r / block) * block;
     const index_t b1 = std::min<index_t>(b0 + block, n);
@@ -162,7 +193,7 @@ Csr make_arrow(index_t n, index_t width, std::uint64_t seed) {
   Csr out;
   out.rows = out.cols = n;
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  RowColumns cols;
   for (index_t r = 0; r < n; ++r) {
     if (r < w) {
       for (index_t c = 0; c < n; c += std::max<index_t>(1, n / 4096))
@@ -181,7 +212,7 @@ Csr make_tridiag_perturbed(index_t n, double extra_per_row, std::uint64_t seed) 
   Csr out;
   out.rows = out.cols = n;
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  RowColumns cols;
   for (index_t r = 0; r < n; ++r) {
     if (r > 0) cols.insert(r - 1);
     if (r + 1 < n) cols.insert(r + 1);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 /// Reuse-distance (LRU stack distance) analysis.
@@ -14,8 +13,17 @@
 /// miss_lines(C) for *every* capacity at once. This is how the analytical
 /// per-kernel traffic models are cross-validated against real traces.
 ///
-/// Implementation: classic Bennett–Kruskal algorithm with a Fenwick tree
-/// over access timestamps; O(log n) per access.
+/// Implementation: Bennett–Kruskal marker counting. Every distinct line
+/// keeps one live marker at the timestamp of its latest access; an access's
+/// stack distance is the number of live markers after its line's previous
+/// timestamp. Markers live in a bitmap over timestamps with a live count
+/// per 512-timestamp block, so moving a marker is O(1) and a count sums
+/// the blocks on the shorter side of the marker. When the timestamp space
+/// fills, live markers are renumbered densely and the space resized to
+/// four times their number — so memory follows the footprint (distinct
+/// lines), never the trace length. The last-use table is a flat
+/// open-addressing hash and the histogram is dense (distances are below
+/// the footprint).
 namespace opm::trace {
 
 class ReuseDistanceAnalyzer {
@@ -47,27 +55,46 @@ class ReuseDistanceAnalyzer {
   /// Hit rate at the given capacity in bytes.
   double hit_rate(std::uint64_t capacity_bytes) const;
 
-  /// The raw distance histogram: distance -> access count. Distance is in
-  /// distinct lines; cold misses are excluded (they miss at any capacity).
-  const std::map<std::uint64_t, std::uint64_t>& histogram() const { return histogram_; }
+  /// The distance histogram: distance -> access count, for every distance
+  /// that occurred. Distance is in distinct lines; cold misses are
+  /// excluded (they miss at any capacity).
+  std::map<std::uint64_t, std::uint64_t> histogram() const;
 
   std::uint32_t line_size() const { return line_size_; }
 
  private:
-  // Append-only Fenwick tree over access timestamps (1-based internally).
-  void fenwick_append(std::int64_t value);
-  void fenwick_add(std::size_t pos, std::int64_t delta);
-  /// Sum of the first `count` timestamp slots (0-based positions 0..count-1).
-  std::int64_t fenwick_prefix(std::size_t count) const;
-  std::int64_t fenwick_prefix_1based(std::size_t k) const;
+  /// One last-use table entry: a line index and its latest timestamp.
+  struct Slot {
+    std::uint64_t line;
+    std::uint64_t stamp;
+  };
+  static constexpr std::uint64_t kEmpty = ~0ull;  ///< no line index reaches it
+  static constexpr std::uint32_t kBlockShift = 9;  ///< 512 timestamps per block
+
+  void touch_line(std::uint64_t line);
+  /// The table slot of `line`, inserting it (stamp unset) when absent.
+  Slot& find_or_insert(std::uint64_t line, bool& inserted);
+  void grow_table();
+  /// Live markers at timestamps strictly after `stamp` (itself live).
+  std::uint64_t markers_after(std::uint64_t stamp) const;
+  void set_marker(std::uint64_t stamp);
+  void clear_marker(std::uint64_t stamp);
+  /// Renumbers live markers to [0, live) in order and resizes the
+  /// timestamp space to four times the live count.
+  void compact();
+  void resize_stamps(std::uint64_t capacity);
 
   std::uint32_t line_size_;
-  std::uint64_t line_shift_;
+  std::uint32_t line_shift_;
   std::uint64_t accesses_ = 0;
   std::uint64_t cold_ = 0;
-  std::vector<std::int64_t> fenwick_;
-  std::unordered_map<std::uint64_t, std::size_t> last_use_;  // line -> timestamp
-  std::map<std::uint64_t, std::uint64_t> histogram_;
+  std::uint64_t now_ = 0;  ///< next timestamp
+  std::vector<std::uint64_t> markers_;      ///< one bit per timestamp
+  std::vector<std::uint32_t> block_live_;   ///< live markers per block
+  std::vector<Slot> table_;                 ///< power-of-two open addressing
+  std::uint32_t table_shift_ = 0;           ///< 64 - log2(table size)
+  std::vector<std::uint64_t> histogram_;    ///< dense: distance -> count
+  std::vector<std::uint64_t> word_rank_;    ///< compaction scratch: markers before a word
 };
 
 }  // namespace opm::trace

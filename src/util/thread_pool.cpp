@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 namespace opm::util {
 
@@ -73,16 +74,21 @@ void ThreadPool::worker_loop(std::size_t index) {
 }
 
 void ThreadPool::push_task(std::size_t slot, Task task) {
-  {
-    Worker& w = *slots_[slot];
-    MutexLock lock(w.mutex);
-    w.deque.push_back(std::move(task));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
+  Worker& w = *slots_[slot];
+  MutexLock lock(w.mutex);
+  w.deque.push_back(std::move(task));
+}
+
+void ThreadPool::wake(std::size_t tasks) {
+  pending_.fetch_add(tasks, std::memory_order_release);
   // Lock/unlock pairs the notify with any waiter between its predicate
   // check and its wait, so the wakeup cannot be lost.
   { MutexLock lock(sleep_mutex_); }
-  sleep_cv_.notify_one();
+  if (tasks >= threads_.size()) {
+    sleep_cv_.notify_all();
+  } else {
+    for (std::size_t i = 0; i < tasks; ++i) sleep_cv_.notify_one();
+  }
 }
 
 bool ThreadPool::run_one_task(std::size_t self) {
@@ -156,15 +162,53 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t gr
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
+  Batch batch((n + chunk - 1) / chunk);
+  submit(batch, body, begin, end, chunk);
+  join(batch);
+}
 
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  Batch batch(chunks);
+std::unique_ptr<ThreadPool::Fork> ThreadPool::fork(std::size_t begin, std::size_t end,
+                                                   std::size_t grain,
+                                                   std::function<void(std::size_t)> body) {
+  std::unique_ptr<Fork> f(new Fork(*this, std::move(body)));
+  if (end <= begin) return f;
+  if (threads_.empty()) {
+    for (std::size_t i = begin; i < end; ++i) f->body_(i);
+    return f;
+  }
+  const std::size_t n = end - begin;
+  const std::size_t chunk = std::max<std::size_t>(grain, 1);
+  f->batch_ = std::make_unique<Batch>((n + chunk - 1) / chunk);
+  submit(*f->batch_, f->body_, begin, end, chunk);
+  return f;
+}
+
+ThreadPool::Fork::Fork(ThreadPool& pool, std::function<void(std::size_t)> body)
+    : pool_(pool), body_(std::move(body)) {}
+
+ThreadPool::Fork::~Fork() {
+  if (batch_ == nullptr) return;
+  try {
+    join();
+  } catch (...) {
+    // Destroyed without a join: nobody is left to take the exception.
+  }
+}
+
+void ThreadPool::Fork::join() {
+  if (batch_ == nullptr) return;
+  const std::unique_ptr<Batch> batch = std::move(batch_);
+  pool_.join(*batch);
+}
+
+void ThreadPool::submit(Batch& batch, const std::function<void(std::size_t)>& body,
+                        std::size_t begin, std::size_t end, std::size_t chunk) {
+  const std::size_t chunks = (end - begin + chunk - 1) / chunk;
   const bool from_worker = on_worker_thread();
-
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = begin + c * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
-    Task task{[this, &batch, &body, lo, hi] {
+    Task task{[&batch, &body, lo, hi] {
       if (!batch.failed.load(std::memory_order_relaxed)) {
         try {
           for (std::size_t i = lo; i < hi; ++i) body(i);
@@ -175,9 +219,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t gr
         }
       }
       // Decrement under the batch mutex: the joiner's final lock in
-      // parallel_for then cannot be acquired until this thread is fully
-      // done touching the batch, so the Batch (mutex + cv) is never
-      // destroyed while a finisher is still inside notify_all.
+      // join() then cannot be acquired until this thread is fully done
+      // touching the batch, so the Batch (mutex + cv) is never destroyed
+      // while a finisher is still inside notify_all.
       {
         MutexLock lock(batch.mutex);
         if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
@@ -192,7 +236,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t gr
                     : next_slot_.fetch_add(1, std::memory_order_relaxed) % threads_.size();
     push_task(slot, std::move(task));
   }
+  wake(chunks);
+}
 
+void ThreadPool::join(Batch& batch) {
   help_until_done(batch);
   std::exception_ptr err;
   {
@@ -216,6 +263,64 @@ std::vector<ThreadPool::WorkerCounters> ThreadPool::worker_counters() const {
     out.push_back(c);
   }
   return out;
+}
+
+namespace {
+
+std::size_t default_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+struct SharedPoolRegistry {
+  Mutex mutex;  // guards pool (re)construction
+  /// nullptr until the first shared_pool() call builds it.
+  std::shared_ptr<ThreadPool> pool OPM_GUARDED_BY(mutex);
+  std::atomic<std::size_t> workers{default_workers()};
+};
+
+SharedPoolRegistry& shared_registry() {
+  static SharedPoolRegistry r;
+  return r;
+}
+
+}  // namespace
+
+void set_shared_pool_workers(std::size_t n) {
+  SharedPoolRegistry& r = shared_registry();
+  std::shared_ptr<ThreadPool> old;
+  {
+    MutexLock lock(r.mutex);
+    r.workers.store(n, std::memory_order_relaxed);
+    if (r.pool && r.pool->workers() != n) old = std::move(r.pool);
+  }
+  // Dropped outside the lock: if this was the last reference, the
+  // destructor joins the workers, and a worker may itself be waiting on
+  // the registry (on_shared_pool_worker).
+}
+
+std::size_t shared_pool_workers() {
+  return shared_registry().workers.load(std::memory_order_relaxed);
+}
+
+std::shared_ptr<ThreadPool> shared_pool() {
+  SharedPoolRegistry& r = shared_registry();
+  if (r.workers.load(std::memory_order_relaxed) == 0) return nullptr;
+  std::shared_ptr<ThreadPool> stale;  // released after the lock, as above
+  MutexLock lock(r.mutex);
+  const std::size_t n = r.workers.load(std::memory_order_relaxed);
+  if (n == 0) return nullptr;
+  if (!r.pool || r.pool->workers() != n) {
+    stale = std::move(r.pool);
+    r.pool = std::make_shared<ThreadPool>(n);
+  }
+  return r.pool;
+}
+
+bool on_shared_pool_worker() {
+  SharedPoolRegistry& r = shared_registry();
+  MutexLock lock(r.mutex);
+  return r.pool && r.pool->on_worker_thread();
 }
 
 ThreadPool::WorkerCounters ThreadPool::totals() const {

@@ -64,6 +64,36 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t)>& body);
 
+ private:
+  struct Batch;
+
+ public:
+  /// An asynchronous fork started by fork(): its chunks run on the workers
+  /// while the caller goes on. join() helps run them, returns once all
+  /// finished, and rethrows the first exception; the destructor joins too
+  /// (dropping an exception nobody asked for).
+  class Fork {
+   public:
+    ~Fork();
+    Fork(const Fork&) = delete;
+    Fork& operator=(const Fork&) = delete;
+    void join();
+
+   private:
+    friend class ThreadPool;
+    Fork(ThreadPool& pool, std::function<void(std::size_t)> body);
+    ThreadPool& pool_;
+    std::function<void(std::size_t)> body_;
+    std::unique_ptr<Batch> batch_;  ///< nullptr once joined (or when run inline)
+  };
+
+  /// Starts body(i) for every i in [begin, end), chunked like
+  /// parallel_for, but returns as soon as the chunks are queued — a
+  /// single chunk too. With no workers the loop runs inline before fork()
+  /// returns.
+  std::unique_ptr<Fork> fork(std::size_t begin, std::size_t end, std::size_t grain,
+                             std::function<void(std::size_t)> body);
+
   /// Fork-join map over [begin, end): returns {fn(begin), ..., fn(end-1)}.
   /// Each result is written to its own slot, so the output is bit-identical
   /// to the serial loop for any worker count (fn must not touch shared
@@ -103,15 +133,21 @@ class ThreadPool {
     std::atomic<std::uint64_t> busy_ns{0};
   };
 
-  struct Batch;
-
   void worker_loop(std::size_t index) OPM_EXCLUDES(sleep_mutex_);
-  void push_task(std::size_t slot, Task task) OPM_EXCLUDES(sleep_mutex_);
+  /// Queues a task on `slot`'s deque; wake() then announces the batch.
+  void push_task(std::size_t slot, Task task);
+  /// Publishes `tasks` newly queued tasks and wakes as many sleepers.
+  void wake(std::size_t tasks) OPM_EXCLUDES(sleep_mutex_);
   /// Pops or steals one task and runs it; `self` is the calling worker's
   /// index, or workers() for helping external threads. Returns false when
   /// no task was available anywhere.
   bool run_one_task(std::size_t self);
   void help_until_done(Batch& batch);
+  /// Queues [begin, end) of `body` as chunk tasks of `batch`.
+  void submit(Batch& batch, const std::function<void(std::size_t)>& body, std::size_t begin,
+              std::size_t end, std::size_t chunk);
+  /// Helps until `batch` drained, then rethrows its first exception.
+  void join(Batch& batch);
 
   /// Touched only by the constructor and destructor, which cannot race by
   /// the object-lifetime rules — no capability needed.
@@ -128,5 +164,27 @@ class ThreadPool {
   std::atomic<std::size_t> pending_{0};  ///< tasks sitting in deques
   bool stopping_ OPM_GUARDED_BY(sleep_mutex_) = false;
 };
+
+/// The process-wide shared pool: one pool behind one knob. The sweep
+/// engine (core/sweep.hpp, whose set_sweep_workers() is the knob's public
+/// face) and the set-sliced simulator (sim/memory_system.hpp) both run on
+/// it. Ownership is shared: a resize builds a new pool for later callers,
+/// while every holder — a running sweep, a MemorySystem between flushes —
+/// keeps the pool it got alive until it lets go.
+///
+/// Sets the shared pool's worker count (default: hardware concurrency).
+/// 0 makes shared_pool() return nullptr, i.e. callers run inline.
+void set_shared_pool_workers(std::size_t n);
+
+/// Currently configured shared-pool worker count.
+std::size_t shared_pool_workers();
+
+/// The shared pool, built on first use with shared_pool_workers()
+/// workers; nullptr when that count is 0.
+std::shared_ptr<ThreadPool> shared_pool();
+
+/// True when the calling thread is a worker of the current shared pool.
+/// Never builds the pool.
+bool on_shared_pool_worker();
 
 }  // namespace opm::util

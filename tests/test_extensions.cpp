@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <vector>
+
 #include "core/valley.hpp"
 #include "kernels/csr5.hpp"
 #include "kernels/spmv.hpp"
@@ -9,6 +12,7 @@
 #include "sim/memory_system.hpp"
 #include "sim/power.hpp"
 #include "sim/prefetcher.hpp"
+#include "sim/simd_probe.hpp"
 #include "sparse/generators.hpp"
 #include "trace/recorder.hpp"
 #include "trace/sampler.hpp"
@@ -75,6 +79,155 @@ TEST(Prefetcher, ResetClearsState) {
   pf.reset();
   EXPECT_EQ(pf.issued(), 0u);
   EXPECT_TRUE(pf.observe(192).empty());  // must retrain
+}
+
+// ------------------------------------------------- prefetcher stream match --
+
+/// Verbatim copy of the earlier table-scan prefetcher (array of structs,
+/// one branchy pass per observe) — the oracle for the SIMD-matched one.
+class LegacyPrefetcher {
+ public:
+  LegacyPrefetcher(std::size_t streams, std::size_t depth) : depth_(depth), table_(streams) {}
+
+  std::vector<std::uint64_t> observe(std::uint64_t line_addr) {
+    std::vector<std::uint64_t> out;
+    ++clock_;
+    const std::int64_t line = static_cast<std::int64_t>(line_addr >> 6);
+    Stream* free_slot = nullptr;
+    Stream* oldest = nullptr;
+    for (auto& s : table_) {
+      if (!s.valid) {
+        free_slot = &s;
+        continue;
+      }
+      const std::int64_t last = static_cast<std::int64_t>(s.last_line);
+      const std::int64_t delta = line - last;
+      if (s.stride != 0 && delta == s.stride) {
+        s.last_line = static_cast<std::uint64_t>(line);
+        s.last_use = clock_;
+        ++stream_hits_;
+        for (std::size_t d = 1; d <= depth_; ++d) {
+          const std::int64_t target = line + s.stride * static_cast<std::int64_t>(d);
+          if (target < 0) break;
+          out.push_back(static_cast<std::uint64_t>(target) << 6);
+        }
+        return out;
+      }
+      if (s.stride == 0 && delta != 0 && std::llabs(delta) <= 2) {
+        s.stride = delta;
+        s.last_line = static_cast<std::uint64_t>(line);
+        s.last_use = clock_;
+        return out;
+      }
+      if (oldest == nullptr || s.last_use < oldest->last_use) oldest = &s;
+    }
+    Stream* slot = free_slot != nullptr ? free_slot : oldest;
+    slot->valid = true;
+    slot->last_line = static_cast<std::uint64_t>(line);
+    slot->stride = 0;
+    slot->last_use = clock_;
+    return out;
+  }
+  std::uint64_t stream_hits() const { return stream_hits_; }
+
+ private:
+  struct Stream {
+    std::uint64_t last_line = 0;
+    std::int64_t stride = 0;
+    std::uint64_t last_use = 0;
+    bool valid = false;
+  };
+  std::size_t depth_;
+  std::uint64_t clock_ = 0;
+  std::uint64_t stream_hits_ = 0;
+  std::vector<Stream> table_;
+};
+
+/// Seeded line streams: interleaved ±1 / ±2 line strides (negative ones
+/// included), repeat touches (delta 0), random gathers, and bursts of
+/// fresh lines that fill the table and force least-recently-used
+/// evictions.
+std::vector<std::uint64_t> seeded_lines(std::uint64_t seed, int n) {
+  util::Xoshiro256 rng(seed);
+  std::int64_t heads[6] = {4000, 9000, 150000, 700, 60000, 30000};
+  const std::int64_t steps[6] = {1, -1, 2, -2, 1, -2};
+  std::vector<std::uint64_t> lines;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t pick = rng.bounded(12);
+    if (pick < 6) {
+      heads[pick] += steps[pick];
+      lines.push_back(static_cast<std::uint64_t>(heads[pick]));
+    } else if (pick < 8) {
+      lines.push_back(rng.bounded(1 << 20));
+    } else if (pick < 10) {
+      lines.push_back(static_cast<std::uint64_t>(heads[rng.bounded(6)]));
+    } else {
+      const std::uint64_t base = rng.bounded(1 << 20);
+      for (int k = 0; k < 20; ++k) lines.push_back(base + 7 * static_cast<std::uint64_t>(k));
+    }
+  }
+  return lines;
+}
+
+TEST(PrefetcherStreamMatch, SimdMatchesScalarOracleOnLiveTables) {
+  for (const std::size_t streams : {1u, 3u, 4u, 6u, 16u, 17u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      sim::StridePrefetcher pf(streams, 4);
+      std::uint64_t out[4];
+      for (const std::uint64_t line : seeded_lines(seed, 4000)) {
+        const auto want = sim::simd::match_stream_scalar(pf.table(), static_cast<std::int64_t>(line));
+        ASSERT_EQ(sim::simd::match_stream(pf.table(), static_cast<std::int64_t>(line)), want)
+            << streams << " streams, seed " << seed;
+#if OPM_SIMD_X86
+        if (__builtin_cpu_supports("avx2")) {
+          ASSERT_EQ(sim::simd::match_stream_avx2(pf.table(), static_cast<std::int64_t>(line)), want)
+              << streams << " streams, seed " << seed;
+        }
+#endif
+        pf.observe_into(line << 6, out);
+      }
+    }
+  }
+}
+
+TEST(PrefetcherStreamMatch, FreeSlotTiesTakeTheLastFreeSlot) {
+  // A fresh table: every lookup that matches nothing allocates the LAST
+  // free slot, so the table fills from the end.
+  sim::StridePrefetcher pf(6, 2);
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    const auto m = sim::simd::match_stream(pf.table(), 1000 * (k + 1));
+    EXPECT_FALSE(m.matched);
+    EXPECT_EQ(m.slot, 5u - k);
+    pf.observe(1000 * 64 * (k + 1));
+  }
+  // Full: the least recently used stream (the first one allocated) goes.
+  const auto m = sim::simd::match_stream(pf.table(), 99999);
+  EXPECT_FALSE(m.matched);
+  EXPECT_EQ(m.slot, 5u);
+}
+
+TEST(PrefetcherStreamMatch, PrefetcherMatchesLegacyTableScan) {
+  for (const std::size_t streams : {2u, 5u, 16u}) {
+    for (const std::size_t depth : {1u, 4u, 8u}) {
+      for (const std::uint64_t seed : {7u, 8u}) {
+        sim::StridePrefetcher pf(streams, depth);
+        LegacyPrefetcher legacy(streams, depth);
+        for (const std::uint64_t line : seeded_lines(seed, 3000))
+          ASSERT_EQ(pf.observe(line << 6), legacy.observe(line << 6))
+              << streams << " streams, depth " << depth << ", seed " << seed;
+        EXPECT_EQ(pf.stream_hits(), legacy.stream_hits());
+        pf.reset();
+        LegacyPrefetcher fresh(streams, depth);
+        for (const std::uint64_t line : seeded_lines(seed + 100, 1000))
+          ASSERT_EQ(pf.observe(line << 6), fresh.observe(line << 6)) << "after reset";
+      }
+    }
+  }
+}
+
+TEST(PrefetcherStreamMatch, SelfCheckCoversTheStreamMatch) {
+  EXPECT_TRUE(sim::simd::stream_match_self_check());
+  EXPECT_TRUE(sim::simd::self_check());
 }
 
 TEST(PrefetcherIntegration, CoversStreamingDemandMisses) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -9,6 +10,7 @@
 #include "core/experiment.hpp"
 #include "core/result_cache.hpp"
 #include "core/sweep.hpp"
+#include "sim/memory_system.hpp"
 #include "sim/platform.hpp"
 #include "sparse/collection.hpp"
 #include "util/thread_pool.hpp"
@@ -364,6 +366,123 @@ TEST(ThreadPoolEdge, ParallelTransformPropagatesException) {
                                          return static_cast<double>(i);
                                        }),
                std::domain_error);
+}
+
+// ------------------------------------------------------- asynchronous fork --
+
+TEST(ThreadPoolFork, ForkRunsEveryIndexWhileTheCallerGoesOn) {
+  util::ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(500);
+  auto fork = pool.fork(0, hits.size(), 7, [&](std::size_t i) { hits[i].fetch_add(1); });
+  double busy = 0.0;  // the caller's own work while the fork runs
+  for (int i = 0; i < 1000; ++i) busy += static_cast<double>(i);
+  fork->join();
+  fork->join();  // idempotent
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_GT(busy, 0.0);
+}
+
+TEST(ThreadPoolFork, JoinRethrowsTheFirstException) {
+  util::ThreadPool pool(2);
+  auto fork = pool.fork(0, 100, 1, [](std::size_t i) {
+    if (i == 40) throw std::runtime_error("fork failed");
+  });
+  EXPECT_THROW(fork->join(), std::runtime_error);
+}
+
+TEST(ThreadPoolFork, DestructorJoinsAndDropsTheException) {
+  util::ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  {
+    auto fork = pool.fork(0, 64, 1, [&](std::size_t i) {
+      started.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      finished.fetch_add(1);
+      if (i == 3) throw std::runtime_error("nobody joins");
+    });
+  }
+  // Once the handle is gone no task is still running (the chunks after
+  // the exception are skipped, as in parallel_for).
+  EXPECT_GT(started.load(), 0);
+  EXPECT_EQ(started.load(), finished.load());
+}
+
+TEST(ThreadPoolFork, WithoutWorkersRunsInlineBeforeReturning) {
+  util::ThreadPool pool(0);
+  int sum = 0;
+  auto fork = pool.fork(0, 10, 1, [&](std::size_t i) { sum += static_cast<int>(i); });
+  EXPECT_EQ(sum, 45);
+  fork->join();
+}
+
+TEST(ThreadPoolFork, ForkFromInsideATaskCompletes) {
+  util::ThreadPool pool(2);
+  std::atomic<int> inner{0};
+  pool.parallel_for(0, 4, 1, [&](std::size_t) {
+    auto fork = pool.fork(0, 16, 1, [&](std::size_t) { inner.fetch_add(1); });
+    fork->join();
+  });
+  EXPECT_EQ(inner.load(), 64);
+}
+
+// ------------------------------------------------------ shared pool owners --
+
+TEST(SharedPool, ResizingWhileASweepAndASlicedReplayRunIsSafe) {
+  // Holders keep the pool they got: a sweep holds it for its fork-join, a
+  // sliced MemorySystem for its whole life. Resizing the knob underneath
+  // both must neither tear a pool down under them nor change a result.
+  WorkerGuard guard;
+  const sim::Platform p = sim::broadwell(sim::EdramMode::kOn);
+  const auto drive = [&p](sim::MemorySystem& ms) {
+    ms.enable_prefetcher(16, 4);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 300000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      ms.access_range(i % 3 == 0 ? (x % (64ull << 20)) : static_cast<std::uint64_t>(i) * 8, 8,
+                      i % 5 == 0);
+    }
+    return ms.report();
+  };
+  core::set_sweep_workers(0);
+  sim::MemorySystem serial(p);
+  const sim::TrafficReport want_traffic = drive(serial);
+  const auto square = [](std::size_t i) {
+    double v = static_cast<double>(i);
+    for (int k = 0; k < 200; ++k) v = v * 1.0000001 + 1.0;
+    return v;
+  };
+  const std::vector<double> want_sweep = core::sweep_transform("resize_probe", 20000, 16, square);
+
+  core::set_sweep_workers(4);
+  std::atomic<bool> stop{false};
+  std::thread resizer([&stop] {  // opm-lint: allow(thread-ownership) — the resizing caller
+    const std::size_t sizes[] = {2, 0, 3, 1, 4};
+    for (std::size_t k = 0; !stop.load(); ++k) {
+      core::set_sweep_workers(sizes[k % 5]);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<double> got_sweep;
+  sim::TrafficReport got_traffic;
+  std::thread sweeper([&] {  // opm-lint: allow(thread-ownership) — a sweep's own caller
+    for (int rep = 0; rep < 4; ++rep)
+      got_sweep = core::sweep_transform("resize_probe", 20000, 16, square);
+  });
+  std::thread simulator([&] {  // opm-lint: allow(thread-ownership) — a replay's own caller
+    for (int rep = 0; rep < 2; ++rep) {
+      sim::MemorySystem ms(p);
+      got_traffic = drive(ms);
+    }
+  });
+  sweeper.join();
+  simulator.join();
+  stop = true;
+  resizer.join();
+  EXPECT_EQ(got_sweep, want_sweep);
+  EXPECT_EQ(got_traffic, want_traffic);
 }
 
 TEST(ThreadPoolEdge, CountersAccumulateAcrossCalls) {

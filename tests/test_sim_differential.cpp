@@ -16,6 +16,7 @@
 #include "sim/flat_cache.hpp"
 #include "sim/memory_system.hpp"
 #include "sim/platform.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace opm::sim {
@@ -405,6 +406,170 @@ TEST(SystemDifferential, KnlPlatforms) {
     const std::string label = std::string("knl ") + to_string(mode);
     expect_identical(p, mixed_rw_trace(ws, 20000, 0x66), false, label);
     expect_identical(p, nt_store_trace(ws, 20000, 0x77), false, label + " nt");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Set-sliced replay: with pool workers, the flat system splits a trace into
+// set slices replayed on the shared pool. Its every observable must equal
+// the sequential reference walk at any worker count.
+
+/// Sets the shared pool's worker count for one scope.
+class PoolWorkers {
+ public:
+  explicit PoolWorkers(std::size_t n) : saved_(util::shared_pool_workers()) {
+    util::set_shared_pool_workers(n);
+  }
+  ~PoolWorkers() { util::set_shared_pool_workers(saved_); }
+  PoolWorkers(const PoolWorkers&) = delete;
+  PoolWorkers& operator=(const PoolWorkers&) = delete;
+
+ private:
+  std::size_t saved_;
+};
+
+constexpr std::size_t kWorkerCounts[] = {0, 1, 3, 4};
+
+void expect_same_state(const MemorySystem& flat, const ReferenceMemorySystem& ref,
+                       const std::string& label) {
+  EXPECT_EQ(flat.report(), ref.report()) << label;
+  EXPECT_EQ(flat.prefetch_fills(), ref.prefetch_fills()) << label;
+  for (std::size_t i = 0; i < ref.platform().tiers.size(); ++i)
+    EXPECT_EQ(flat.tier_stats(i), ref.tier_stats(i)) << label << " tier " << i;
+}
+
+/// The sliced flat system against the reference at every worker count:
+/// whole trace; report() at mid-trace and again at the end; reset() at
+/// mid-trace followed by the whole trace. `depth` 0 = no prefetcher.
+void expect_sliced_identical(const Platform& p, const std::vector<Event>& trace,
+                             std::size_t depth, const std::string& label) {
+  const std::size_t half = trace.size() / 2;
+  const std::vector<Event> head(trace.begin(), trace.begin() + static_cast<std::ptrdiff_t>(half));
+  const std::vector<Event> tail(trace.begin() + static_cast<std::ptrdiff_t>(half), trace.end());
+  for (const std::size_t workers : kWorkerCounts) {
+    PoolWorkers pool(workers);
+    const std::string at = label + " workers=" + std::to_string(workers);
+    MemorySystem flat(p);
+    ReferenceMemorySystem ref(p);
+    EXPECT_EQ(flat.slices(), workers == 0 ? 1u : set_slices(p)) << at;
+    EXPECT_EQ(ref.slices(), 1u) << at;
+    if (depth > 0) {
+      flat.enable_prefetcher(16, depth);
+      ref.enable_prefetcher(16, depth);
+    }
+    replay(flat, head);
+    replay(ref, head);
+    expect_same_state(flat, ref, at + " mid-trace");
+    replay(flat, tail);
+    replay(ref, tail);
+    expect_same_state(flat, ref, at + " end");
+    replay(flat, head);  // ops still buffered at the reset are dropped
+    replay(ref, head);   // (random victims: the RNG survives a reset)
+    flat.reset();
+    ref.reset();
+    replay(flat, trace);
+    replay(ref, trace);
+    expect_same_state(flat, ref, at + " after mid-trace reset");
+  }
+}
+
+TEST(SlicedReplay, SliceCountComesFromThePlatform) {
+  // 16 on every built-in platform; 8 on the toy hierarchy (8 L1 sets).
+  for (const EdramMode mode : {EdramMode::kOff, EdramMode::kOn})
+    EXPECT_EQ(set_slices(broadwell(mode)), 16u);
+  for (const McdramMode mode :
+       {McdramMode::kOff, McdramMode::kCache, McdramMode::kFlat, McdramMode::kHybrid})
+    EXPECT_EQ(set_slices(knl(mode)), 16u);
+  EXPECT_EQ(set_slices(toy_platform(TierKind::kVictim, ReplacementPolicy::kLru)), 8u);
+  EXPECT_EQ(set_slices(toy_platform(TierKind::kStandard, ReplacementPolicy::kFifo)), 8u);
+  // A random-replacement tier advances one RNG across sets: sequential.
+  EXPECT_EQ(set_slices(toy_platform(TierKind::kStandard, ReplacementPolicy::kRandom)), 1u);
+  Platform mixed = toy_platform(TierKind::kStandard, ReplacementPolicy::kLru);
+  mixed.tiers[2].geometry.policy = ReplacementPolicy::kRandom;
+  EXPECT_EQ(set_slices(mixed), 1u);
+  // Set counts 3 and 8 share no power of two; 12 and 8 share 4.
+  Platform odd = toy_platform(TierKind::kStandard, ReplacementPolicy::kLru);
+  odd.tiers[0].geometry.capacity = 3 * 2 * 64;  // 3 sets
+  EXPECT_EQ(set_slices(odd), 1u);
+  odd.tiers[0].geometry.capacity = 12 * 2 * 64;  // 12 sets
+  EXPECT_EQ(set_slices(odd), 4u);
+  EXPECT_EQ(set_slices(Platform{}), 1u);
+  // The worker count never changes K, only whether the system slices.
+  PoolWorkers pool(3);
+  EXPECT_EQ(MemorySystem(broadwell(EdramMode::kOn)).slices(), 16u);
+  EXPECT_EQ(MemorySystem(mixed).slices(), 1u);
+  EXPECT_EQ(MemorySystem(odd).slices(), 4u);
+}
+
+TEST(SlicedReplay, ToyHierarchiesAtEveryWorkerCount) {
+  const std::uint64_t ws = 64 * KiB;
+  for (const ReplacementPolicy policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kFifo, ReplacementPolicy::kRandom}) {
+    for (const TierKind kind :
+         {TierKind::kStandard, TierKind::kVictim, TierKind::kMemorySide}) {
+      const Platform p = toy_platform(kind, policy);
+      const std::string label = std::string(to_string(policy)) + "/" +
+                                std::to_string(static_cast<int>(kind));
+      expect_sliced_identical(p, mixed_rw_trace(ws, 6000, 0x122), 0, label + " mixed");
+      expect_sliced_identical(p, nt_store_trace(ws, 6000, 0x133), 0, label + " nt");
+    }
+  }
+  const Platform p = toy_platform(TierKind::kVictim, ReplacementPolicy::kLru);
+  expect_sliced_identical(p, strided_trace(ws, 256), 4, "pf4 strided");
+  expect_sliced_identical(p, mixed_rw_trace(ws, 6000, 0x144), 8, "pf8 mixed");
+}
+
+TEST(SlicedReplay, SetCountsWithACommonFactorBelowTheCap) {
+  Platform p = toy_platform(TierKind::kVictim, ReplacementPolicy::kLru);
+  p.tiers[0].geometry.capacity = 12 * 2 * 64;  // 12 L1 sets: K = 4
+  expect_sliced_identical(p, mixed_rw_trace(64 * KiB, 6000, 0x155), 8, "k4");
+}
+
+TEST(SlicedReplay, BroadwellLongerThanOneChunk) {
+  // 16 slices x 4096 buffered ops: these traces run through many buffer
+  // hand-offs, with and without the prefetcher at both depths.
+  for (const EdramMode mode : {EdramMode::kOff, EdramMode::kOn}) {
+    const Platform p = broadwell(mode);
+    const std::string label = std::string("bdw ") + to_string(mode);
+    std::vector<Event> trace = sequential_trace(768 * KiB);  // 98304 line accesses
+    const std::vector<Event> chase = pointer_chase_trace(16 * MiB, 30000, 0x166);
+    trace.insert(trace.end(), chase.begin(), chase.end());
+    expect_sliced_identical(p, trace, 0, label);
+    expect_sliced_identical(p, trace, 4, label + " pf4");
+    expect_sliced_identical(p, mixed_rw_trace(8 * MiB, 20000, 0x177), 8, label + " pf8");
+  }
+}
+
+TEST(SlicedReplay, KnlModesIncludingTheFlatBoundary) {
+  for (const McdramMode mode :
+       {McdramMode::kOff, McdramMode::kCache, McdramMode::kFlat, McdramMode::kHybrid}) {
+    const Platform p = knl(mode);
+    const std::string label = std::string("knl ") + to_string(mode);
+    expect_sliced_identical(p, mixed_rw_trace(2 * MiB, 12000, 0x188), 0, label);
+    expect_sliced_identical(p, nt_store_trace(2 * MiB, 12000, 0x199), 0, label + " nt");
+  }
+  // Lines straddling the flat partition: 16 GiB of MCDRAM in flat mode,
+  // 8 GiB in hybrid, and a partition that ends 3 lines past a multiple of
+  // 16 lines, so lines of one slice sit on both sides of it. Evicted,
+  // prefetched and NT lines must route to the device of their ORIGINAL
+  // address.
+  Platform off_grid = knl(McdramMode::kFlat);
+  off_grid.flat_opm_bytes = 8 * GiB + 3 * 64;
+  for (const Platform& p : {knl(McdramMode::kFlat), knl(McdramMode::kHybrid), off_grid}) {
+    const std::uint64_t boundary = p.flat_opm_bytes;
+    std::vector<Event> trace;
+    Rng rng(0x1aa);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t addr = boundary - 1 * MiB + rng.below(2 * MiB);
+      const std::uint64_t kind = rng.below(6);
+      trace.push_back({kind == 0 ? Event::kStoreNt : kind == 1 ? Event::kStore : Event::kLoad,
+                       kind == 0 ? addr & ~7ull : addr, 8});
+    }
+    for (std::uint64_t off = 0; off < 2 * MiB; off += 128)  // a stream across it
+      trace.push_back({Event::kLoad, boundary - 1 * MiB + off, 8});
+    const std::string label = "knl straddle at " + std::to_string(boundary);
+    expect_sliced_identical(p, trace, 0, label);
+    expect_sliced_identical(p, trace, 8, label + " pf8");
   }
 }
 
