@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
         default: ++score.refuted; break;
       }
       score.abs_gap_sum += v.gap < 0.0 ? -v.gap : v.gap;
-      std::printf("%s,%s,%s,%s,%.3f,%.3f,%s\n",  // opm-lint: allow(float-print) — report CSV
+      std::printf("%s,%s,%s,%s,%.3f,%.3f,%s\n",
                   platform, kernel, result.placement.bound.c_str(),
                   result.recommendation.platform.c_str(),
                   result.recommendation.predicted_speedup, v.measured_metric,

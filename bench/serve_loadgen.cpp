@@ -15,18 +15,18 @@
 //      answers the overflow with structured "overload" rejections carrying
 //      retry_after_ms > 0, while still answering everything exactly once.
 //
-// With --connect=ADDR (or the pre-v2 --socket=PATH spelling) it targets an
-// external server or router instead — any address the serve tier speaks:
-// unix:PATH or HOST:PORT. --token=SECRET sends the hello handshake first,
-// --v2 wraps every request in the protocol-v2 envelope, and --zipf draws
-// the trace from a seeded zipf distribution over the unique requests
-// instead of the uniform duplicate deal. Gate 1 applies to any target;
-// gate 2 is skipped automatically when the peer's stats carry no cache
-// counters (a router reports its own counters, not its shards'). The
-// overload probe only runs in-process. --tolerant downgrades
-// rejected/failed responses from fatal to counted — the CI drain test
-// fires SIGTERM mid-load and only cares that the server answers every
-// request with *something* structured.
+// With --connect=ADDR it targets an external server or router instead —
+// any address the serve tier speaks: unix:PATH or HOST:PORT (the retired
+// --socket=PATH exits 2 naming --connect=unix:PATH). --token=SECRET sends
+// the hello handshake first, --v2 wraps every request in the protocol-v2
+// envelope, and --zipf draws the trace from a seeded zipf distribution
+// over the unique requests instead of the uniform duplicate deal. Gate 1
+// applies to any target; gate 2 is skipped automatically when the peer's
+// stats carry no cache counters (a router reports its own counters, not
+// its shards'). The overload probe only runs in-process. --tolerant
+// downgrades rejected/failed responses from fatal to counted — the CI
+// drain test fires SIGTERM mid-load and only cares that the server
+// answers every request with *something* structured.
 //
 // --router-bench is the sharded-tier acceptance mode: it stands up an
 // in-process router in front of 1 and then 2 single-worker shards,
@@ -45,7 +45,7 @@
 // carries median-of-medians latency and a cross-client CV for the CI
 // trajectory gate (tools/opm_benchdiff).
 //
-//   serve_loadgen [--connect=ADDR | --socket=PATH] [--clients=8] [--dup=4]
+//   serve_loadgen [--connect=ADDR] [--clients=8] [--dup=4]
 //                 [--token=SECRET] [--v2] [--zipf] [--tolerant] [--quick]
 //                 [--out=BENCH_serve.json]
 //                 [--router-bench [--rb-requests=N] [--rb-clients=N]
@@ -323,7 +323,7 @@ double run_router_topology(int nshards, const std::vector<std::string>& uniques,
   std::vector<std::string> backends;
   for (int s = 0; s < nshards; ++s) {
     serve::ServerConfig sc;
-    sc.socket_path = "rb-shard" + std::to_string(s) + "-" + tag + ".sock";
+    sc.listen_address = "unix:rb-shard" + std::to_string(s) + "-" + tag + ".sock";
     sc.max_line_bytes = 8 * 1024 * 1024;  // ~400 KB CSV payloads per response
     sc.dispatch.queue_depth = 1024;  // the bench measures throughput, not admission
     sc.dispatch.workers = 1;         // one executor per shard: N shards = N-way parallelism
@@ -335,7 +335,7 @@ double run_router_topology(int nshards, const std::vector<std::string>& uniques,
       std::cout << "router bench: cannot start shard " << s << ": " << error << "\n";
       return -1.0;
     }
-    backends.push_back("unix:" + sc.socket_path);
+    backends.push_back(sc.listen_address);
   }
   serve::RouterConfig rc;
   rc.listen_address = "unix:rb-router-" + tag + ".sock";
@@ -496,8 +496,12 @@ int router_bench(const util::Cli& cli, bool quick) {
 
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
-  core::SweepConfig cfg = bench::init(argc, argv);
   const util::Cli cli(argc, argv);
+  if (const std::string retired = serve::retired_flag_error(cli, "--connect"); !retired.empty()) {
+    std::cerr << "serve_loadgen: " << retired << "\n";
+    return 2;
+  }
+  core::SweepConfig cfg = bench::init(argc, argv);
   bench::banner("serve_loadgen", "multi-client sweep-service load and acceptance harness");
 
   const bool quick = cli.has("quick");
@@ -506,16 +510,13 @@ int main(int argc, char** argv) {
   const std::size_t clients = static_cast<std::size_t>(cli.get_int("clients", 8));
   const std::size_t dup = static_cast<std::size_t>(cli.get_int("dup", 4));
   const bool tolerant = cli.has("tolerant");
-  const bool external = cli.has("connect") || cli.has("socket");
+  const bool external = cli.has("connect");
   const bool v2 = cli.has("v2");
   const bool zipf = cli.has("zipf");
   const std::string token = cli.get("token", "");
   const std::string out_path = cli.get("out", "BENCH_serve.json");
 
-  // The target address: --connect wins, --socket=PATH is the pre-v2
-  // spelling of --connect=unix:PATH.
   std::string address = cli.get("connect", "");
-  if (address.empty() && cli.has("socket")) address = "unix:" + cli.get("socket", "");
   std::unique_ptr<serve::Server> server;
   if (!external) {
     // Self-contained mode: private socket, scratch cache wiped up front so
@@ -528,11 +529,9 @@ int main(int argc, char** argv) {
     core::configure_result_cache(cfg.cache);
     core::reset_result_cache_stats();
 
-    const std::string socket_path =
-        "serve-loadgen-" + std::to_string(::getpid()) + ".sock";
-    address = "unix:" + socket_path;
+    address = "unix:serve-loadgen-" + std::to_string(::getpid()) + ".sock";
     serve::ServerConfig sc;
-    sc.socket_path = socket_path;
+    sc.listen_address = address;
     sc.dispatch.queue_depth = 256;  // the load phase measures coalescing, not admission
     sc.dispatch.workers = 4;
     server = std::make_unique<serve::Server>(sc);

@@ -5,15 +5,15 @@
 #   ./scripts/ci.sh [static|thread|address|undefined|cache|serve|advise|perf|all]
 #   (default: all)
 #
-# The static job runs FIRST and needs no test execution: it builds only the
-# opm_lint and opm_analyze tools, scans src/ bench/ tests/ for
-# project-invariant violations (seeded-RNG-only, thread ownership,
-# canonical %a serialization, OPM_GUARDED_BY coverage, #pragma once, no
-# std::endl), then runs the four cross-file semantic passes (lock-order
-# cycles, protocol taxonomy exhaustiveness, metrics-name consistency,
-# layering — docs/MODEL.md §15) fail-fast against the checked-in
-# suppression baseline, and self-checks that seeded violations still trip
-# both tools. When a
+# The static job runs FIRST and needs no test execution: it builds only
+# the opm_analyze checker and runs its ten passes once over src/ tools/
+# bench/ tests/ docs/MODEL.md scripts/ci.sh, fail-fast — four cross-file
+# passes (lock-order cycles, protocol taxonomy exhaustiveness,
+# metrics-name consistency, layering) and six per-line rules
+# (seeded-RNG-only, thread ownership, canonical %a serialization,
+# OPM_GUARDED_BY coverage, #pragma once, no std::endl; docs/MODEL.md
+# §10). A line marker that silences nothing is a finding too. It then
+# self-checks that five seeded violations still trip the checker. When a
 # clang++ with -Wthread-safety is available it also compiles the full tree
 # with the thread-safety annotations promoted to errors, proving every
 # lock acquisition at compile time; without clang the gate is skipped with
@@ -95,38 +95,26 @@ run_job() {
 
 run_static() {
   local dir="build-static"
-  echo "== [static] configure & build opm_lint + opm_analyze ($dir)"
+  echo "== [static] configure & build opm_analyze ($dir)"
   # Compile commands are exported so editor tooling / clang-tidy sessions
   # can piggyback on the CI configure.
   cmake -B "$root/$dir" -G Ninja -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
-  cmake --build "$root/$dir" --target opm_lint opm_analyze
-  echo "== [static] opm_lint src bench tests"
-  (cd "$root" && "$root/$dir/tools/opm_lint" src bench tests)
-  echo "== [static] linter self-check (seeded violation must be caught)"
-  local fixture="$root/$dir/lint-selfcheck"
-  rm -rf "$fixture"
-  mkdir -p "$fixture/src/core"
-  printf 'int f() { return rand(); }\n' > "$fixture/src/core/bad.cpp"
-  if (cd "$fixture" && "$root/$dir/tools/opm_lint" src > /dev/null); then
-    echo "ci: FAIL — opm_lint exited 0 on a seeded rand() violation" >&2
-    exit 1
-  fi
-  echo "   seeded rand() violation caught (nonzero exit)"
-  echo "== [static] opm_analyze (cross-file passes, docs/MODEL.md §15)"
-  # Fail-fast: any unsuppressed finding (or stale baseline entry) aborts
+  cmake --build "$root/$dir" --target opm_analyze
+  echo "== [static] opm_analyze (ten passes, docs/MODEL.md §10)"
+  # Fail-fast: any finding (a stale suppression marker included) aborts
   # the job here, before the expensive sanitizer builds. Per-pass timing
   # is printed by the tool itself.
   (cd "$root" && "$root/$dir/tools/opm_analyze" \
-      --baseline=tools/analyze_baseline.txt \
       src tools bench tests docs/MODEL.md scripts/ci.sh)
-  echo "== [static] analyzer self-check (four seeded violations must be caught)"
+  echo "== [static] checker self-check (five seeded violations must be caught)"
   local afix="$root/$dir/analyze-selfcheck"
   rm -rf "$afix"
   mkdir -p "$afix/src/core" "$afix/src/serve" "$afix/src/util" "$afix/docs"
-  # One seed per pass: an ABBA lock cycle, an undocumented error kind, a
-  # one-edit metric typo, and a util → serve include.
+  # Five seeds: a rand() call, an ABBA lock cycle, an undocumented error
+  # kind, a one-edit metric typo, and a util → serve include.
+  printf 'int f() { return rand(); }\n' > "$afix/src/core/bad.cpp"
   printf 'void fa() { util::MutexLock a(mu_a); util::MutexLock b(mu_b); }\n' \
       > "$afix/src/core/a.cpp"
   printf 'void fb() { util::MutexLock b(mu_b); util::MutexLock a(mu_a); }\n' \
@@ -141,14 +129,14 @@ run_static() {
     echo "ci: FAIL — opm_analyze exited 0 on seeded violations" >&2
     exit 1
   fi
-  for pass in lock-order protocol metrics layering; do
+  for pass in rng lock-order protocol metrics layering; do
     if ! grep -q "\[$pass\]" <<< "$aout"; then
       echo "ci: FAIL — seeded $pass violation not caught; output:" >&2
       echo "$aout" >&2
       exit 1
     fi
   done
-  echo "   all four seeded violations caught (nonzero exit, file:line diagnostics)"
+  echo "   all five seeded violations caught (nonzero exit, file:line diagnostics)"
   if command -v clang++ > /dev/null 2>&1; then
     echo "== [static] clang -Wthread-safety -Werror full-tree compile"
     local tsdir="build-threadsafety"
@@ -214,7 +202,7 @@ run_serve() {
   (cd "$root/$dir" && ./bench/serve_loadgen --cache-dir="$scratch")
   echo "== [serve] external server: duplicate-heavy load over the socket"
   local sock="$root/$dir/opm-serve-ci.sock"
-  "$root/$dir/serve/opm_serve" --socket="$sock" --cache-dir="$scratch-ext" \
+  "$root/$dir/serve/opm_serve" --listen="unix:$sock" --cache-dir="$scratch-ext" \
       --no-sweep-stats &
   local server_pid=$!
   for _ in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.1; done
@@ -222,9 +210,9 @@ run_serve() {
     echo "ci: FAIL — opm_serve socket never appeared" >&2
     exit 1
   fi
-  (cd "$root/$dir" && ./bench/serve_loadgen --socket="$sock")
+  (cd "$root/$dir" && ./bench/serve_loadgen --connect="unix:$sock")
   echo "== [serve] SIGTERM mid-load must drain cleanly"
-  (cd "$root/$dir" && ./bench/serve_loadgen --socket="$sock" --tolerant --dup=8) &
+  (cd "$root/$dir" && ./bench/serve_loadgen --connect="unix:$sock" --tolerant --dup=8) &
   local load_pid=$!
   sleep 0.3
   kill -TERM "$server_pid"

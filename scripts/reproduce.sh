@@ -9,7 +9,7 @@
 # ./results). Sweep harnesses print the parallel engine's SweepStats
 # telemetry (tasks, steals, busy/wall time) into their outputs.
 #
-# --quick: CI only — runs the static checks (opm_lint + thread-safety
+# --quick: CI only — runs the static checks (opm_analyze + thread-safety
 # annotations) and the sanitizer matrix via scripts/ci.sh, skipping the
 # artifact sweep.
 set -euo pipefail
@@ -17,7 +17,7 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
 if [[ "${1:-}" == "--quick" ]]; then
-  echo "== quick mode: static checks (opm_lint, thread-safety) + sanitizer matrix"
+  echo "== quick mode: static checks (opm_analyze, thread-safety) + sanitizer matrix"
   exec "$root/scripts/ci.sh" all
 fi
 

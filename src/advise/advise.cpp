@@ -873,20 +873,18 @@ namespace {
 std::string human_bytes(double bytes) {
   char buf[64];
   if (bytes >= 1024.0 * 1024.0 * 1024.0) {
-    std::snprintf(buf, sizeof buf, "%.1f GiB",
-                  bytes / (1024.0 * 1024.0 * 1024.0));  // opm-lint: allow(float-print) — human text
+    std::snprintf(buf, sizeof buf, "%.1f GiB", bytes / (1024.0 * 1024.0 * 1024.0));
   } else if (bytes >= 1024.0 * 1024.0) {
-    std::snprintf(buf, sizeof buf, "%.1f MiB",
-                  bytes / (1024.0 * 1024.0));  // opm-lint: allow(float-print) — human text
+    std::snprintf(buf, sizeof buf, "%.1f MiB", bytes / (1024.0 * 1024.0));
   } else {
-    std::snprintf(buf, sizeof buf, "%.0f B", bytes);  // opm-lint: allow(float-print) — human text
+    std::snprintf(buf, sizeof buf, "%.0f B", bytes);
   }
   return buf;
 }
 
 std::string fixed2(double v) {
   char buf[48];
-  std::snprintf(buf, sizeof buf, "%.2f", v);  // opm-lint: allow(float-print) — human text
+  std::snprintf(buf, sizeof buf, "%.2f", v);
   return buf;
 }
 

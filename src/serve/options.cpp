@@ -23,8 +23,6 @@ std::vector<std::string> split_commas(const std::string& text) {
 
 Options resolve_options(const util::Cli& cli) {
   Options opt;
-  // --socket is the pre-v2 spelling; --listen wins when both appear.
-  if (cli.has("socket")) opt.listen = "unix:" + cli.get("socket", "opm-serve.sock");
   opt.listen = cli.get("listen", opt.listen);
   opt.connect = cli.get("connect", opt.connect);
   opt.shards = split_commas(cli.get("shards", ""));
@@ -44,6 +42,12 @@ Options resolve_options(const util::Cli& cli) {
   opt.max_redirects = static_cast<int>(cli.get_int("max-redirects", opt.max_redirects));
   opt.stdio = cli.has("stdio");
   return opt;
+}
+
+std::string retired_flag_error(const util::Cli& cli, const std::string& flag) {
+  if (!cli.has("socket")) return {};
+  const std::string path = cli.get("socket", "");
+  return "--socket is retired; use " + flag + "=unix:" + (path.empty() ? "PATH" : path);
 }
 
 ServerConfig to_server_config(const Options& opt) {

@@ -16,7 +16,6 @@ class Cli;
 /// means the same thing everywhere it appears:
 ///
 ///   --listen=ADDR          listener (unix:PATH | HOST:PORT; port 0 = ephemeral)
-///   --socket=PATH          pre-v2 spelling of --listen=unix:PATH
 ///   --connect=ADDR         peer to talk to (loadgen; router backends use --shards)
 ///   --shards=A,B,...       backend shard addresses, comma-separated; index = shard id
 ///   --ring-shards=N        ring view size (default: number of backends / shard-count)
@@ -52,6 +51,14 @@ struct Options {
 
 /// Resolves the shared flag surface (defaults above, overridden by CLI).
 Options resolve_options(const util::Cli& cli);
+
+/// Non-empty when the command line still carries the retired
+/// --socket=PATH: the message names its replacement, `flag`=unix:PATH
+/// ("--listen" for listeners, "--connect" for clients). util::Cli ignores
+/// unknown flags, so without this a script that kept --socket would bind
+/// or dial the default socket without a word; callers print the message
+/// and exit 2.
+std::string retired_flag_error(const util::Cli& cli, const std::string& flag);
 
 /// The server/router configs an Options implies.
 ServerConfig to_server_config(const Options& opt);

@@ -634,23 +634,6 @@ std::string render_hello_ok(const Envelope& env) {
   return out;
 }
 
-std::string render_response(const std::string& id, RequestType type,
-                            const std::string& payload) {
-  return render_response(Envelope{1, id, 0}, type, payload);
-}
-
-std::string render_error(const std::string& id, const Error& err) {
-  return render_error(Envelope{1, id, 0}, err);
-}
-
-std::string render_stats(const std::string& id, const std::string& stats_json) {
-  return render_stats(Envelope{1, id, 0}, stats_json);
-}
-
-std::string render_pong(const std::string& id) {
-  return render_pong(Envelope{1, id, 0});
-}
-
 bool parse_response(std::string_view line, ResponseView* out) {
   auto doc = util::parse_json(line);
   if (!doc || !doc->is_object()) return false;

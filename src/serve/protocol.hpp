@@ -246,14 +246,6 @@ std::string render_stats(const Envelope& env, const std::string& stats_json);
 std::string render_pong(const Envelope& env);
 std::string render_hello_ok(const Envelope& env);
 
-/// v1 conveniences (the pre-v2 signatures, kept so offline harnesses and
-/// tests read naturally).
-std::string render_response(const std::string& id, RequestType type,
-                            const std::string& payload);
-std::string render_error(const std::string& id, const Error& err);
-std::string render_stats(const std::string& id, const std::string& stats_json);
-std::string render_pong(const std::string& id);
-
 /// A parsed response line — what the router (and tests) need to re-render
 /// a backend response under the client's own envelope: because both sides
 /// share render_* and util::json_escape, parse-then-re-render is

@@ -156,12 +156,11 @@ struct Router::Impl {
       answer(p.client,
              protocol::render_error(
                  p.env, make_error("internal", "backend shard " + std::to_string(target) +
-                                                   " is unavailable")));  // opm-lint: allow(float-print) — integer shard id
+                                                   " is unavailable")));
       return;
     }
     const std::uint64_t seq = next_wire_id.fetch_add(1, std::memory_order_relaxed);
-    const std::string wire_id =
-        "g" + std::to_string(seq);  // opm-lint: allow(float-print) — integer sequence
+    const std::string wire_id = "g" + std::to_string(seq);
     p.target = target;
     protocol::Request copy = p.req;
     copy.id = wire_id;
@@ -333,9 +332,9 @@ struct Router::Impl {
     if (!intact) {
       errors_protocol.add(1);
       conn->write_line(protocol::render_error(
-          "", make_error("oversized",
+          protocol::Envelope{}, make_error("oversized",
                          "request line exceeds " + std::to_string(config.max_line_bytes) +
-                             " bytes; closing connection")));  // opm-lint: allow(float-print) — integer limit
+                             " bytes; closing connection")));
     }
     conn->close_fd();
   }

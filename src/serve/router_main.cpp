@@ -42,8 +42,12 @@ extern "C" void on_terminate(int) {
 int main(int argc, char** argv) {
   using namespace opm;
   const util::Cli cli(argc, argv);
+  if (const std::string retired = serve::retired_flag_error(cli, "--listen"); !retired.empty()) {
+    util::log_error("opm_router: " + retired);
+    return 2;
+  }
   serve::Options opt = serve::resolve_options(cli);
-  if (!cli.has("listen") && !cli.has("socket")) opt.listen = "unix:opm-router.sock";
+  if (!cli.has("listen")) opt.listen = "unix:opm-router.sock";
 
   serve::Router router(serve::to_router_config(opt));
   std::string error;
@@ -61,11 +65,10 @@ int main(int argc, char** argv) {
   std::string where = opt.listen;
   if (router.bound_port() >= 0) {
     const std::size_t colon = where.rfind(':');
-    where = where.substr(0, colon + 1) +
-            std::to_string(router.bound_port());  // opm-lint: allow(float-print) — integer port
+    where = where.substr(0, colon + 1) + std::to_string(router.bound_port());
   }
   util::log_info("opm_router listening on " + where + " (" +
-                 std::to_string(opt.shards.size()) +  // opm-lint: allow(float-print) — integer count
+                 std::to_string(opt.shards.size()) +
                  " shards)");
   router.wait();
   util::log_info("opm_router drained cleanly");

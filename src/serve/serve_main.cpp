@@ -53,9 +53,13 @@ extern "C" void on_terminate(int) {
 
 int main(int argc, char** argv) {
   using namespace opm;
+  const util::Cli cli(argc, argv);
+  if (const std::string retired = serve::retired_flag_error(cli, "--listen"); !retired.empty()) {
+    util::log_error("opm_serve: " + retired);
+    return 2;
+  }
   core::apply_sweep_config(core::resolve_sweep_config(argc, argv));
 
-  const util::Cli cli(argc, argv);
   const serve::Options opt = serve::resolve_options(cli);
   serve::Server server(serve::to_server_config(opt));
 
@@ -80,8 +84,7 @@ int main(int argc, char** argv) {
   if (server.bound_port() >= 0) {
     // Re-render with the actual port so HOST:0 callers can discover it.
     const std::size_t colon = where.rfind(':');
-    where = where.substr(0, colon + 1) +
-            std::to_string(server.bound_port());  // opm-lint: allow(float-print) — integer port
+    where = where.substr(0, colon + 1) + std::to_string(server.bound_port());
   }
   util::log_info("opm_serve listening on " + where);
   server.wait();

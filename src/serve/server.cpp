@@ -34,14 +34,7 @@ constexpr std::size_t kMaxBatchRequests = 64;
 struct Server::Impl {
   explicit Impl(const ServerConfig& cfg) : config(cfg), dispatcher(cfg.dispatch) {
     std::string error;
-    if (!config.listen_address.empty()) {
-      if (!util::parse_address(config.listen_address, &listen, &error)) {
-        listen_parse_error = error;
-      }
-    } else {
-      listen.kind = util::SocketAddress::Kind::kUnix;
-      listen.path = config.socket_path;
-    }
+    if (!util::parse_address(config.listen_address, &listen, &error)) listen_parse_error = error;
   }
 
   ServerConfig config;
@@ -146,9 +139,7 @@ struct Server::Impl {
       errors_protocol.add(1);
       protocol::Error err;
       err.category = "bad-request";
-      err.message = "batch exceeds " +
-                    std::to_string(kMaxBatchRequests) +  // opm-lint: allow(float-print) — integer limit
-                    " requests";
+      err.message = "batch exceeds " + std::to_string(kMaxBatchRequests) + " requests";
       conn->write_line(protocol::render_error(batch_env, err));
       return true;
     }
@@ -198,8 +189,8 @@ struct Server::Impl {
     protocol::Error err;
     err.category = "oversized";
     err.message = "request line exceeds " + std::to_string(config.max_line_bytes) +
-                  " bytes; closing connection";  // opm-lint: allow(float-print) — integer limit
-    conn->write_line(protocol::render_error("", err));
+                  " bytes; closing connection";
+    conn->write_line(protocol::render_error(protocol::Envelope{}, err));
   }
 
   void reader_main(std::shared_ptr<Conn> conn, std::uint64_t client) {

@@ -42,9 +42,8 @@ namespace opm::serve {
 
 struct ServerConfig {
   /// Listener in util::parse_address grammar ("unix:PATH" or
-  /// "HOST:PORT"); when empty, socket_path is used as a unix path.
-  std::string listen_address;
-  std::string socket_path = "opm-serve.sock";  ///< pre-v2 spelling, unix only
+  /// "HOST:PORT").
+  std::string listen_address = "unix:opm-serve.sock";
   std::string auth_token;  ///< TCP hello secret; empty = open listener
   std::size_t max_line_bytes = 256 * 1024;
   DispatchConfig dispatch;

@@ -49,7 +49,7 @@ class OPM_CAPABILITY("mutex") Mutex {
 
  private:
   friend class CondVar;
-  std::mutex m_;  // opm-lint: allow(guarded-mutex) — this IS the wrapper
+  std::mutex m_;
 };
 
 /// RAII lock for Mutex; the scoped-capability guard the analysis tracks.

@@ -37,7 +37,7 @@ bool fill_tcp(const SocketAddress& addr, sockaddr_in* out, std::string* error) {
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* res = nullptr;
-  const std::string port = std::to_string(addr.port);  // opm-lint: allow(float-print) — integer port
+  const std::string port = std::to_string(addr.port);
   const int rc = ::getaddrinfo(addr.host.c_str(), port.c_str(), &hints, &res);
   if (rc != 0 || res == nullptr) {
     if (error) *error = "resolve " + addr.host + ": " + ::gai_strerror(rc);
@@ -53,7 +53,7 @@ bool fill_tcp(const SocketAddress& addr, sockaddr_in* out, std::string* error) {
 
 std::string SocketAddress::to_string() const {
   if (kind == Kind::kUnix) return "unix:" + path;
-  return host + ":" + std::to_string(port);  // opm-lint: allow(float-print) — integer port
+  return host + ":" + std::to_string(port);
 }
 
 bool parse_address(std::string_view text, SocketAddress* out, std::string* error) {

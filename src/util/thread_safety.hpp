@@ -9,7 +9,7 @@
 /// all interleavings — the guarantee the TSan CI jobs, which only observe
 /// the interleavings a test happens to produce, cannot give.
 ///
-/// Conventions (enforced by tools/opm_lint and docs/MODEL.md §10):
+/// Conventions (enforced by tools/opm_analyze and docs/MODEL.md §10):
 ///   * lock-protected state uses util::Mutex / util::CondVar /
 ///     util::MutexLock from util/mutex.hpp, never bare std::mutex —
 ///     libstdc++'s types carry no capability attributes, so the analysis

@@ -496,14 +496,15 @@ struct BatchClient {
 };
 
 TEST_F(AdviseServeTest, ServerAnswersBatchesPerElement) {
+  const std::string path = "test-advise-batch-" + std::to_string(::getpid()) + ".sock";
   serve::ServerConfig sc;
-  sc.socket_path = "test-advise-batch-" + std::to_string(::getpid()) + ".sock";
+  sc.listen_address = "unix:" + path;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
   BatchClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
 
   // A well-formed batch: one response per element, every req_id echoed.
   ASSERT_TRUE(client.send_line(

@@ -3,7 +3,7 @@
 // handling for both metric polarities, missing metrics, structural
 // incompatibilities (knobs, units, bench name, schema version), the
 // --update-baseline workflow, and the CLI exit-code contract — mirroring
-// tests/test_lint.cpp for the other CI tool.
+// tests/test_analyze.cpp for the other CI tool.
 //
 // This suite is also the in-repo demonstration of the acceptance claim:
 // the perf gate fails on an injected synthetic regression while passing

@@ -160,9 +160,10 @@ TEST(ProtocolV2, StatsAndPongRoundTrip) {
 }
 
 TEST(ProtocolV2, V1RenderIsByteIdenticalToPreV2AndRoundTrips) {
-  // The v1 convenience wrappers must keep the pre-envelope wire format:
+  // A v1 envelope (the default) must keep the pre-envelope wire format:
   // no "v", no "shard", id spelled "id".
-  const std::string wire = protocol::render_response("q1", RequestType::kSparse, "pay");
+  const std::string wire =
+      protocol::render_response(Envelope{.id = "q1"}, RequestType::kSparse, "pay");
   EXPECT_EQ(wire, R"({"id":"q1","ok":true,"type":"sparse","payload":"pay"})");
 
   protocol::ResponseView view;
@@ -182,7 +183,8 @@ TEST(ProtocolV2, ReRenderingAcrossVersionsPreservesPayloadBytes) {
   protocol::ResponseView view;
   ASSERT_TRUE(protocol::parse_response(backend, &view));
   EXPECT_EQ(protocol::render_view(Envelope{1, "client-3", 0}, view),
-            protocol::render_response("client-3", RequestType::kFootprint, payload));
+            protocol::render_response(Envelope{.id = "client-3"}, RequestType::kFootprint,
+                                      payload));
 }
 
 TEST(ProtocolV2, RenderRequestReconstructsTheSameRequestKey) {
@@ -412,8 +414,8 @@ struct Mesh {
     serve::RouterConfig rc;
     for (int s = 0; s < nshards; ++s) {
       serve::ServerConfig sc;
-      sc.socket_path = std::string("test-router-") + tag + "-s" + std::to_string(s) + "-" +
-                       std::to_string(::getpid()) + ".sock";
+      sc.listen_address = std::string("unix:test-router-") + tag + "-s" + std::to_string(s) +
+                          "-" + std::to_string(::getpid()) + ".sock";
       sc.dispatch.workers = 1;
       sc.dispatch.shard_id = s;
       sc.dispatch.shard_count = nshards;
@@ -423,7 +425,7 @@ struct Mesh {
         ADD_FAILURE() << "shard " << s << ": " << error;
         return false;
       }
-      rc.backends.push_back("unix:" + sc.socket_path);
+      rc.backends.push_back(sc.listen_address);
     }
     address = std::string("unix:test-router-") + tag + "-" + std::to_string(::getpid()) +
               ".sock";
@@ -501,7 +503,7 @@ TEST_F(RouterTest, V1ClientThroughTheRouterSeesPreV2Bytes) {
   ASSERT_TRUE(client.recv_line(&line));
   // Byte-identical to a standalone pre-v2 server answering the same
   // request: v1 envelope, no version or shard fields.
-  EXPECT_EQ(line, protocol::render_response("legacy", RequestType::kFootprint,
+  EXPECT_EQ(line, protocol::render_response(Envelope{.id = "legacy"}, RequestType::kFootprint,
                                             protocol::execute(parse_ok(body))));
   mesh.stop();
 }

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -234,7 +235,7 @@ TEST(Protocol, RequestKeyIgnoresIdButNotContent) {
 
 TEST(Protocol, ResponseEnvelopeRoundTrips) {
   const std::string line = serve::protocol::render_response(
-      "id-1", RequestType::kDense, "x,y\n0x1p+1,0x1.8p+2\n");
+      serve::protocol::Envelope{.id = "id-1"}, RequestType::kDense, "x,y\n0x1p+1,0x1.8p+2\n");
   const auto doc = util::parse_json(line);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("id")->string, "id-1");
@@ -246,7 +247,8 @@ TEST(Protocol, ResponseEnvelopeRoundTrips) {
   err.category = "overload";
   err.message = "queue \"full\"";
   err.retry_after_ms = 50;
-  const auto edoc = util::parse_json(serve::protocol::render_error("id-2", err));
+  const auto edoc =
+      util::parse_json(serve::protocol::render_error(serve::protocol::Envelope{.id = "id-2"}, err));
   ASSERT_TRUE(edoc.has_value());
   EXPECT_FALSE(edoc->find("ok")->boolean);
   EXPECT_EQ(edoc->find("error")->find("category")->string, "overload");
@@ -788,14 +790,15 @@ std::string test_socket_path(const char* tag) {
 }
 
 TEST_F(ServeTest, ServerAnswersOverUnixSocket) {
+  const std::string path = test_socket_path("basic");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("basic");
+  sc.listen_address = "unix:" + path;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
 
   // A sweep request, byte-identical to the offline library output.
   const std::string line =
@@ -914,15 +917,16 @@ TEST_F(ServeTest, TcpListenerGatesConnectionsBehindHelloToken) {
 }
 
 TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
+  const std::string path = test_socket_path("oversized");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("oversized");
+  sc.listen_address = "unix:" + path;
   sc.max_line_bytes = 128;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
   ASSERT_TRUE(client.send_line(std::string(4096, 'x')));
   std::string response;
   ASSERT_TRUE(client.recv_line(&response));
@@ -935,7 +939,7 @@ TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
 
   // The server itself is unharmed: a new connection works.
   TestClient fresh;
-  ASSERT_TRUE(fresh.connect_to(sc.socket_path));
+  ASSERT_TRUE(fresh.connect_to(path));
   ASSERT_TRUE(fresh.send_line(R"({"type":"ping"})"));
   ASSERT_TRUE(fresh.recv_line(&response));
   EXPECT_NE(response.find("\"pong\""), std::string::npos);
@@ -945,28 +949,29 @@ TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
 }
 
 TEST_F(ServeTest, ServerSurvivesMidRequestDisconnect) {
+  const std::string path = test_socket_path("disconnect");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("disconnect");
+  sc.listen_address = "unix:" + path;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
   {
     TestClient ghost;
-    ASSERT_TRUE(ghost.connect_to(sc.socket_path));
+    ASSERT_TRUE(ghost.connect_to(path));
     ASSERT_TRUE(ghost.send_line(
         R"({"id":"ghost","type":"sparse","platform":"knl-flat","kernel":"spmv"})"));
     ghost.close_conn();  // gone before the response could be written
   }
   {
     TestClient ghost2;  // and one that dies mid-line, without the newline
-    ASSERT_TRUE(ghost2.connect_to(sc.socket_path));
+    ASSERT_TRUE(ghost2.connect_to(path));
     ASSERT_TRUE(ghost2.send_line(R"({"id":"gho)"));
     ghost2.close_conn();
   }
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
   ASSERT_TRUE(client.send_line(
       R"({"id":"ok","type":"footprint","platform":"knl-ddr","kernel":"stream","points":8})"));
   std::string response;
@@ -980,8 +985,9 @@ TEST_F(ServeTest, ServerSurvivesMidRequestDisconnect) {
 }
 
 TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
+  const std::string path = test_socket_path("drain");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("drain");
+  sc.listen_address = "unix:" + path;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -990,7 +996,7 @@ TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
   const std::uint64_t admitted_before = admitted.value();
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
   const std::string line =
       R"({"id":"w1","type":"dense","platform":"broadwell-edram-on","kernel":"gemm",)"
       R"("n_lo":256,"n_hi":2048,"n_step":256,"nb_lo":128,"nb_hi":1024,"nb_step":128})";
@@ -1017,14 +1023,15 @@ TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
 
   // No orphaned socket file, and nobody is listening anymore.
   struct stat st{};
-  EXPECT_NE(::stat(sc.socket_path.c_str(), &st), 0);
+  EXPECT_NE(::stat(path.c_str(), &st), 0);
   TestClient late;
-  EXPECT_FALSE(late.connect_to(sc.socket_path));
+  EXPECT_FALSE(late.connect_to(path));
 }
 
 TEST_F(ServeTest, ConcurrentClientsCoalesceToByteIdenticalResponses) {
+  const std::string path = test_socket_path("coalesce");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("coalesce");
+  sc.listen_address = "unix:" + path;
   sc.dispatch.workers = 4;
   sc.dispatch.queue_depth = 256;
   serve::Server server(sc);
@@ -1049,7 +1056,7 @@ TEST_F(ServeTest, ConcurrentClientsCoalesceToByteIdenticalResponses) {
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       TestClient client;
-      if (!client.connect_to(sc.socket_path)) {
+      if (!client.connect_to(path)) {
         fail_count.fetch_add(kPerClient);
         return;
       }
@@ -1091,7 +1098,7 @@ TEST_F(ServeTest, ServeStreamDrivesStdioModeOverPipes) {
   ASSERT_EQ(::pipe(from_server), 0);
 
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("stdio");  // unused: no listener started
+  sc.listen_address = "unix:" + test_socket_path("stdio");  // unused: no listener started
   serve::Server server(sc);
   std::thread service([&] {  // opm-lint: allow(thread-ownership) — stream-mode server needs its own thread
     server.serve_stream(to_server[0], from_server[1]);
@@ -1137,6 +1144,34 @@ TEST_F(ServeTest, ServeStreamDrivesStdioModeOverPipes) {
   }
   EXPECT_EQ(good, 2);
   EXPECT_EQ(parse_errors, 1);
+}
+
+// ---------------------------------------------------- retired --socket flag --
+
+TEST(ServeCli, RetiredSocketFlagExitsTwoNamingItsReplacement) {
+  // util::Cli ignores unknown flags, so a script that kept the pre-v2
+  // --socket=PATH would bind (or dial) the default socket without a word.
+  // Every binary that took it refuses it instead, before binding anything.
+  // (`timeout` bounds a regression that would otherwise serve forever.)
+  struct Case {
+    const char* binary;
+    const char* replacement;
+  };
+  for (const Case& c : {Case{OPM_SERVE_BIN, "--listen=unix:retired.sock"},
+                        Case{OPM_ROUTER_BIN, "--listen=unix:retired.sock"},
+                        Case{OPM_LOADGEN_BIN, "--connect=unix:retired.sock"}}) {
+    const std::string command =
+        std::string("timeout 60 ") + c.binary + " --socket=retired.sock </dev/null 2>&1";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << command;
+    std::string output;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command << "\n" << output;
+    EXPECT_NE(output.find(c.replacement), std::string::npos) << command << "\n" << output;
+  }
 }
 
 }  // namespace

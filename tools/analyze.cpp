@@ -26,11 +26,6 @@ using lex::TokenKind;
 
 // ------------------------------------------------------------------ common --
 
-const char* const kLockOrder = "lock-order";
-const char* const kProtocol = "protocol";
-const char* const kMetrics = "metrics";
-const char* const kLayering = "layering";
-
 std::string normalized(const std::string& path) {
   std::string p = path;
   std::replace(p.begin(), p.end(), '\\', '/');
@@ -81,6 +76,8 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   return prev[b.size()];
 }
 
+/// Where a pass reports. `pass` comes from the pass table, so a pass never
+/// spells its own id.
 struct Sink {
   std::vector<Finding>* findings;
   const char* pass;
@@ -267,14 +264,13 @@ void scan_locks(const Input& in, LockScan* scan) {
   }
 }
 
-void pass_lock_order(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
+void pass_lock_order(const std::vector<Input>& inputs, Sink& sink) {
   LockScan scan;
   for (const Input& in : inputs)
     if (in.cxx) scan_locks(in, &scan);
 
   // Cycle detection: iterative DFS with tricolor marking; every back edge
   // closes a distinct elementary cycle through the current stack.
-  Sink sink{findings, kLockOrder};
   std::map<std::string, int> color;  // 0 white, 1 grey, 2 black
   std::vector<std::string> path;
   std::set<std::string> reported;
@@ -349,7 +345,7 @@ bool kind_shaped(const std::string& s) {
   return true;
 }
 
-void pass_protocol(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
+void pass_protocol(const std::vector<Input>& inputs, Sink& sink) {
   std::map<std::string, KindSite> constructed;          // kind → first site
   std::map<std::string, KindSite> handled;              // router/loadgen compares
   const Input* protocol_hpp = nullptr;
@@ -395,7 +391,6 @@ void pass_protocol(const std::vector<Input>& inputs, std::vector<Finding>* findi
   }
 
   if (constructed.empty()) return;  // no serve sources among the inputs
-  Sink sink{findings, kProtocol};
 
   for (const auto& [kind, site] : constructed) {
     if (protocol_hpp && !boundary_contains(protocol_hpp->content, kind))
@@ -459,7 +454,7 @@ struct MetricSite {
 
 bool metric_shaped(const std::string& s) {
   if (s.empty() || !(s.front() >= 'a' && s.front() <= 'z')) return false;
-  bool dot = false, seg_empty = false;
+  bool dot = false;
   char prev = '\0';
   for (char c : s) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
@@ -470,7 +465,6 @@ bool metric_shaped(const std::string& s) {
     }
     prev = c;
   }
-  (void)seg_empty;
   return dot && prev != '.';
 }
 
@@ -508,8 +502,7 @@ std::vector<std::string> dotted_candidates(const std::string& text) {
   return out;
 }
 
-void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
-  Sink sink{findings, kMetrics};
+void pass_metrics(const std::vector<Input>& inputs, Sink& sink) {
   std::map<std::string, std::vector<MetricSite>> writes;  // src/ write sites
   std::map<std::string, MetricSite> reads;                // any .value() read
   std::vector<std::pair<std::string, MetricSite>> refs;   // free-text references
@@ -609,7 +602,7 @@ void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findin
 // Include-graph construction over every scanned C++ file. Quoted include
 // paths resolve either into src/ modules ("core/sweep.hpp" → module
 // `core`) or, when they carry no directory, into the includer's own
-// directory ("lint.hpp" in tools/). Two checks: the architecture rule
+// directory ("lexer.hpp" in tools/). Two checks: the architecture rule
 // table (util is the bottom layer and includes only util; sim never
 // includes core/serve/advise; core never serve/advise; advise never
 // serve — the advisor must stay servable *through* serve without linking
@@ -643,8 +636,7 @@ std::string module_of(const std::string& norm) {
   return p.substr(0, p.find('/'));  // tools/bench/tests/examples/...
 }
 
-void pass_layering(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
-  Sink sink{findings, kLayering};
+void pass_layering(const std::vector<Input>& inputs, Sink& sink) {
   std::set<std::string> known_files;
   for (const Input& in : inputs)
     if (in.cxx) known_files.insert(in.path);
@@ -721,50 +713,353 @@ void pass_layering(const std::vector<Input>& inputs, std::vector<Finding>* findi
     if (color[node] == 0) dfs(node);
 }
 
-// ---------------------------------------------------------------- baseline --
+// ---------------------------------------------------------- per-line rules --
+//
+// Token-level, not a parser: each rule matches against the lexer's
+// classified lines — `code` (comments stripped, literals collapsed) or,
+// for the %-conversion rule, `strings` (the literal text) — and is scoped
+// by path substring, so "util/rng." exempts the RNG implementation
+// wherever the tree is rooted.
 
-struct Baseline {
-  // (pass, key) → matched?  Order preserved for stale reporting.
-  std::vector<std::tuple<std::string, std::string, bool>> entries;
+bool is_ident(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
 
-  static Baseline parse(const std::string& text) {
-    Baseline b;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream ls(line);
-      std::string pass, key;
-      if (ls >> pass >> key) b.entries.emplace_back(pass, key, false);
+bool path_has(const std::string& norm, const char* frag) {
+  return norm.find(frag) != std::string::npos;
+}
+
+bool in_tree(const std::string& norm, const char* tree) {  // tree = "src"
+  const std::string t = std::string(tree) + "/";
+  return norm.rfind(t, 0) == 0 || norm.find("/" + t) != std::string::npos;
+}
+
+/// True when code[pos..] spells `name` as a standalone token (non-ident
+/// characters, or string boundaries, on both sides).
+bool token_at(const std::string& code, std::size_t pos, const std::string& name) {
+  if (pos > 0 && (is_ident(code[pos - 1]) || code[pos - 1] == ':')) return false;
+  const std::size_t after = pos + name.size();
+  return after >= code.size() || !is_ident(code[after]);
+}
+
+/// True when code[pos..] is a call of free function `name`: bare, `::`- or
+/// `std::`-qualified, but not a member (`.name(` / `->name(`) and not part
+/// of a longer identifier (`wall_time(`, `time_since_epoch`).
+bool free_call_at(const std::string& code, std::size_t pos, const std::string& name) {
+  std::size_t after = pos + name.size();
+  while (after < code.size() && (code[after] == ' ' || code[after] == '\t')) ++after;
+  if (after >= code.size() || code[after] != '(') return false;
+  if (pos == 0) return true;
+  if (is_ident(code[pos - 1]) || code[pos - 1] == '.' || code[pos - 1] == '>') return false;
+  if (code[pos - 1] != ':') return true;  // bare call after an operator/space
+  // Qualified: allow only the global (`::time`) or `std::` spellings; a
+  // `foo::time(...)` from some other namespace is somebody else's function.
+  if (pos < 2 || code[pos - 2] != ':') return false;
+  if (pos == 2) return true;  // line starts with ::name
+  const std::size_t q = pos - 2;
+  if (q >= 3 && code.compare(q - 3, 3, "std") == 0 &&
+      (q == 3 || !is_ident(code[q - 4])))
+    return true;
+  return !is_ident(code[q - 1]) && code[q - 1] != ':';
+}
+
+std::vector<std::size_t> find_all(const std::string& hay, const std::string& needle) {
+  std::vector<std::size_t> out;
+  for (std::size_t p = hay.find(needle); p != std::string::npos;
+       p = hay.find(needle, p + 1))
+    out.push_back(p);
+  return out;
+}
+
+/// Matches a printf floating conversion (%f/%e/%g with optional flags,
+/// width, precision, length) in string-literal text. `%a` stays legal: it
+/// is the canonical bit-exact serialization this rule funnels code toward.
+bool has_float_conversion(const std::string& text) {
+  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+    if (text[i] != '%') continue;
+    if (text[i + 1] == '%') {
+      ++i;
+      continue;
     }
-    return b;
+    std::size_t j = i + 1;
+    while (j < text.size() &&
+           (std::isdigit(static_cast<unsigned char>(text[j])) != 0 ||
+            text[j] == '-' || text[j] == '+' || text[j] == ' ' || text[j] == '#' ||
+            text[j] == '.' || text[j] == '*' || text[j] == 'l' || text[j] == 'h' ||
+            text[j] == 'L'))
+      ++j;
+    if (j < text.size() && (text[j] == 'f' || text[j] == 'F' || text[j] == 'e' ||
+                            text[j] == 'E' || text[j] == 'g' || text[j] == 'G'))
+      return true;
   }
+  return false;
+}
 
-  bool match(const Finding& f) {
-    for (auto& [pass, key, used] : entries)
-      if (pass == f.pass && key == f.key) {
-        used = true;
-        return true;
-      }
-    return false;
+void rule_rng(const Input& in, Sink& sink) {
+  if (path_has(in.path, "util/rng.")) return;
+  for (std::size_t li = 0; li < in.lx.lines.size(); ++li) {
+    const std::string& code = in.lx.lines[li].code;
+    for (const char* fn : {"rand", "srand", "time"})
+      for (std::size_t p : find_all(code, fn))
+        if (free_call_at(code, p, fn))
+          sink.emit(in.path, li + 1, {},
+                    std::string(fn) + "() is nondeterministic; use the seeded "
+                                      "generators in util/rng");
+    for (std::size_t p : find_all(code, "random_device"))
+      if (token_at(code, p, "random_device") ||
+          (p >= 5 && code.compare(p - 5, 5, "std::") == 0))
+        sink.emit(in.path, li + 1, {},
+                  "std::random_device is nondeterministic; use the seeded "
+                  "generators in util/rng");
   }
+}
+
+void rule_thread_ownership(const Input& in, Sink& sink) {
+  if (path_has(in.path, "util/thread_pool.") || path_has(in.path, "src/serve/")) return;
+  for (std::size_t li = 0; li < in.lx.lines.size(); ++li) {
+    const std::string& code = in.lx.lines[li].code;
+    for (const char* tok : {"std::thread", "std::jthread"})
+      for (std::size_t p : find_all(code, tok)) {
+        const std::size_t after = p + std::string(tok).size();
+        if (after < code.size() && (is_ident(code[after]) || code[after] == ':'))
+          continue;  // std::thread::hardware_concurrency etc.
+        if (p > 0 && is_ident(code[p - 1])) continue;
+        sink.emit(in.path, li + 1, {},
+                  std::string(tok) + " outside util/thread_pool and src/serve; "
+                                     "route work through util::ThreadPool");
+      }
+  }
+}
+
+void rule_float_print(const Input& in, Sink& sink) {
+  if (!path_has(in.path, "core/sweep.") && !path_has(in.path, "core/experiment.") &&
+      !path_has(in.path, "core/result_cache.") && !path_has(in.path, "serve/protocol."))
+    return;
+  for (std::size_t li = 0; li < in.lx.lines.size(); ++li) {
+    const lex::Line& line = in.lx.lines[li];
+    if (has_float_conversion(line.strings))
+      sink.emit(in.path, li + 1, {},
+                "decimal float conversion in a serialization path; use the "
+                "canonical %a formatter util::append_hexf");
+    for (std::size_t p : find_all(line.code, "std::to_string"))
+      if (token_at(line.code, p, "std::to_string"))
+        sink.emit(in.path, li + 1, {},
+                  "std::to_string in a serialization path; floats must go "
+                  "through the canonical %a formatter util::append_hexf");
+  }
+}
+
+void rule_guarded_mutex(const Input& in, Sink& sink) {
+  if (!in_tree(in.path, "src")) return;
+  if (path_has(in.path, "util/mutex.hpp") || path_has(in.path, "util/thread_safety.hpp"))
+    return;
+
+  struct Block {
+    bool class_like = false;
+    bool has_guard = false;
+    std::vector<std::pair<std::size_t, std::string>> mutexes;  // line, type
+  };
+  std::vector<Block> stack;
+  std::string prefix;  // statement text since the last ';' '{' '}'
+
+  auto close_block = [&] {
+    if (stack.empty()) return;
+    Block b = std::move(stack.back());
+    stack.pop_back();
+    if (b.class_like && !b.has_guard)
+      for (const auto& [line, type] : b.mutexes)
+        sink.emit(in.path, line + 1, {},
+                  type + " member in a class with no OPM_GUARDED_BY field; "
+                         "annotate what it protects (util/thread_safety.hpp)");
+  };
+
+  for (std::size_t li = 0; li < in.lx.lines.size(); ++li) {
+    const std::string& code = in.lx.lines[li].code;
+    if (code.find("OPM_GUARDED_BY") != std::string::npos ||
+        code.find("OPM_PT_GUARDED_BY") != std::string::npos)
+      if (!stack.empty()) stack.back().has_guard = true;
+
+    if (!stack.empty() && stack.back().class_like) {
+      for (const char* type : {"std::mutex", "std::recursive_mutex",
+                               "std::shared_mutex", "std::timed_mutex",
+                               "util::Mutex", "Mutex"}) {
+        for (std::size_t p : find_all(code, type)) {
+          if (p > 0 && (is_ident(code[p - 1]) || code[p - 1] == ':')) continue;
+          std::size_t j = p + std::string(type).size();
+          if (j >= code.size() || (code[j] != ' ' && code[j] != '\t')) continue;
+          while (j < code.size() && (code[j] == ' ' || code[j] == '\t')) ++j;
+          std::size_t ident = 0;
+          while (j < code.size() && is_ident(code[j])) ++j, ++ident;
+          while (j < code.size() && (code[j] == ' ' || code[j] == '\t')) ++j;
+          if (ident > 0 && j < code.size() && code[j] == ';')
+            stack.back().mutexes.emplace_back(li, type);
+        }
+        if (!stack.back().mutexes.empty() && stack.back().mutexes.back().first == li)
+          break;  // one hit per line is enough (avoids Mutex-inside-util::Mutex)
+      }
+    }
+
+    for (char c : code) {
+      if (c == '{') {
+        Block b;
+        for (const char* kw : {"struct", "class", "union"})
+          for (std::size_t p : find_all(prefix, kw))
+            if (token_at(prefix, p, kw)) b.class_like = true;
+        stack.push_back(b);
+        prefix.clear();
+      } else if (c == '}') {
+        close_block();
+        prefix.clear();
+      } else if (c == ';') {
+        prefix.clear();
+      } else {
+        prefix.push_back(c);
+      }
+    }
+    prefix.push_back(' ');  // newlines separate tokens
+  }
+  while (!stack.empty()) close_block();  // unbalanced file: flush anyway
+}
+
+void rule_pragma_once(const Input& in, Sink& sink) {
+  if (!in.path.ends_with(".hpp") && !in.path.ends_with(".h")) return;
+  for (const lex::Line& line : in.lx.lines) {
+    const std::size_t p = line.raw.find("#pragma");
+    if (p != std::string::npos && line.raw.find("once", p) != std::string::npos) return;
+  }
+  sink.emit(in.path, 1, {}, "header is missing #pragma once");
+}
+
+void rule_no_endl(const Input& in, Sink& sink) {
+  if (!in_tree(in.path, "src")) return;
+  for (std::size_t li = 0; li < in.lx.lines.size(); ++li)
+    for (std::size_t p : find_all(in.lx.lines[li].code, "std::endl"))
+      if (token_at(in.lx.lines[li].code, p, "std::endl"))
+        sink.emit(in.path, li + 1, {},
+                  "std::endl flushes on every call; write \"\\n\" in hot paths");
+}
+
+/// A per-line rule as a pass: every C++ input, one at a time.
+template <void (*Rule)(const Input&, Sink&)>
+void per_file(const std::vector<Input>& inputs, Sink& sink) {
+  for (const Input& in : inputs)
+    if (in.cxx) Rule(in, sink);
+}
+
+// ---------------------------------------------------------------- the table --
+
+using Pass = void (*)(const std::vector<Input>&, Sink&);
+
+struct PassDef {
+  PassInfo info;
+  Pass run;
 };
 
-}  // namespace
-
-const std::vector<PassInfo>& passes() {
-  static const std::vector<PassInfo> table = {
-      {kLockOrder, "global lock-order graph over util::MutexLock scopes; fails on cycles"},
-      {kProtocol, "serve error-kind taxonomy exhaustive across protocol.hpp, docs, tests, router"},
-      {kMetrics, "dotted counter names: one owner, no near-miss typos, all references defined"},
-      {kLayering, "include-graph cycles + architecture rules (util ⊄ core/sim/serve/advise, ...)"},
+const std::vector<PassDef>& pass_table() {
+  static const std::vector<PassDef> table = {
+      {{"lock-order", "global lock-order graph over util::MutexLock scopes; fails on cycles"},
+       pass_lock_order},
+      {{"protocol", "serve error-kind taxonomy exhaustive across protocol.hpp, docs, tests, router"},
+       pass_protocol},
+      {{"metrics", "dotted counter names: one owner, no near-miss typos, all references defined"},
+       pass_metrics},
+      {{"layering", "include-graph cycles + architecture rules (util ⊄ core/sim/serve/advise, ...)"},
+       pass_layering},
+      {{"rng", "rand()/srand()/time()/std::random_device outside util/rng"}, per_file<rule_rng>},
+      {{"thread-ownership", "raw std::thread outside util/thread_pool and src/serve"},
+       per_file<rule_thread_ownership>},
+      {{"float-print", "%f-style or std::to_string output in canonical serialization paths"},
+       per_file<rule_float_print>},
+      {{"guarded-mutex", "mutex member without an OPM_GUARDED_BY field in the same class"},
+       per_file<rule_guarded_mutex>},
+      {{"pragma-once", "every header carries #pragma once"}, per_file<rule_pragma_once>},
+      {{"no-endl", "std::endl in src/ hot paths"}, per_file<rule_no_endl>},
   };
   return table;
 }
 
-Report analyze_sources(const std::vector<SourceFile>& sources,
-                       const std::string& baseline, const std::string& only_pass) {
+// ----------------------------------------------------------------- markers --
+//
+// The one suppression mechanism: the allow marker in a line comment names
+// the pass ids it silences on its own line (docs/MODEL.md §10 spells it;
+// spelling it here would make this comment a marker). Only line-comment
+// text is consulted, so a marker inside a string literal or a block
+// comment is data. A marker id that is unknown, or that silences no
+// finding on its line, is a finding of its own: suppressions only shrink.
+
+/// Pass ids named by the marker in one line comment (none when absent).
+std::vector<std::string> marker_ids(const std::string& comment) {
+  std::vector<std::string> out;
+  const std::size_t marker = comment.find("opm-lint:");
+  if (marker == std::string::npos) return out;
+  const std::size_t open = comment.find("allow(", marker);
+  if (open == std::string::npos) return out;
+  const std::size_t close = comment.find(')', open);
+  if (close == std::string::npos) return out;
+  std::istringstream is(comment.substr(open + 6, close - open - 6));
+  std::string id;
+  while (std::getline(is, id, ',')) {
+    const auto b = id.find_first_not_of(" \t");
+    const auto e = id.find_last_not_of(" \t");
+    if (b != std::string::npos) out.push_back(id.substr(b, e - b + 1));
+  }
+  return out;
+}
+
+/// Drops the findings a marker silences, then reports every marker id
+/// that silenced nothing. With `only_pass` set, only markers naming it
+/// are checked: the other passes did not run.
+std::vector<Finding> apply_markers(const std::vector<Input>& inputs, std::vector<Finding> raw,
+                                   const std::string& only_pass) {
+  struct Marker {
+    std::string id;
+    bool used = false;
+  };
+  std::map<std::pair<std::string, std::size_t>, std::vector<Marker>> markers;
+  for (const Input& in : inputs)
+    for (std::size_t li = 0; li < in.lx.lines.size(); ++li)
+      for (std::string& id : marker_ids(in.lx.lines[li].line_comment))
+        markers[{in.path, li + 1}].push_back(Marker{std::move(id)});
+
+  std::vector<Finding> kept;
+  for (Finding& f : raw) {
+    bool silenced = false;
+    const auto it = markers.find({f.file, f.line});
+    if (it != markers.end())
+      for (Marker& m : it->second)
+        if (m.id == f.pass) silenced = m.used = true;
+    if (!silenced) kept.push_back(std::move(f));
+  }
+
+  for (const auto& [where, list] : markers)
+    for (const Marker& m : list) {
+      if (m.used || (!only_pass.empty() && m.id != only_pass)) continue;
+      const bool known = std::any_of(pass_table().begin(), pass_table().end(),
+                                     [&](const PassDef& p) { return m.id == p.info.id; });
+      if (known)
+        kept.push_back(Finding{where.first, where.second, m.id, {},
+                               "stale marker: no " + m.id +
+                                   " finding on this line to allow — delete it"});
+      else
+        kept.push_back(Finding{where.first, where.second, "marker", {},
+                               "marker names \"" + m.id +
+                                   "\", which is not a pass id (see --list-passes)"});
+    }
+  return kept;
+}
+
+}  // namespace
+
+const std::vector<PassInfo>& passes() {
+  static const std::vector<PassInfo> infos = [] {
+    std::vector<PassInfo> out;
+    for (const PassDef& p : pass_table()) out.push_back(p.info);
+    return out;
+  }();
+  return infos;
+}
+
+Report analyze_sources(const std::vector<SourceFile>& sources, const std::string& only_pass) {
   std::vector<Input> inputs;
   inputs.reserve(sources.size());
   for (const SourceFile& s : sources) {
@@ -777,54 +1072,31 @@ Report analyze_sources(const std::vector<SourceFile>& sources,
   }
 
   Report report;
-  using Pass = void (*)(const std::vector<Input>&, std::vector<Finding>*);
-  const std::vector<std::pair<const char*, Pass>> order = {
-      {kLockOrder, pass_lock_order},
-      {kProtocol, pass_protocol},
-      {kMetrics, pass_metrics},
-      {kLayering, pass_layering},
-  };
   std::vector<Finding> raw;
-  for (const auto& [id, fn] : order) {
-    if (!only_pass.empty() && only_pass != id) continue;
-    const std::size_t before = raw.size();
+  for (const PassDef& p : pass_table()) {
+    if (!only_pass.empty() && only_pass != p.info.id) continue;
+    Sink sink{&raw, p.info.id};
     const auto t0 = std::chrono::steady_clock::now();
-    fn(inputs, &raw);
+    p.run(inputs, sink);
     const auto t1 = std::chrono::steady_clock::now();
     report.timing.push_back(
-        PassTiming{id, std::chrono::duration<double>(t1 - t0).count(), raw.size() - before});
+        PassTiming{p.info.id, std::chrono::duration<double>(t1 - t0).count(), 0});
   }
 
-  Baseline base = Baseline::parse(baseline);
-  for (Finding& f : raw) {
-    if (base.match(f))
-      ++report.suppressed;
-    else
-      report.findings.push_back(std::move(f));
-  }
-  for (const auto& [pass, key, used] : base.entries)
-    if (!used)
-      report.findings.push_back(
-          Finding{"(baseline)", 0, "baseline", "stale:" + pass + ":" + key,
-                  "baseline entry \"" + pass + " " + key +
-                      "\" matched no finding — remove it (the baseline only shrinks)"});
-
+  report.findings = apply_markers(inputs, std::move(raw), only_pass);
   std::sort(report.findings.begin(), report.findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.pass, a.key) <
                      std::tie(b.file, b.line, b.pass, b.key);
             });
-  // Recount per-pass findings post-baseline so the summary matches output.
-  for (PassTiming& t : report.timing) {
-    t.findings = 0;
+  // Count per-pass findings after the markers so the summary matches output.
+  for (PassTiming& t : report.timing)
     for (const Finding& f : report.findings)
       if (f.pass == t.pass) ++t.findings;
-  }
   return report;
 }
 
-Report analyze_paths(const std::vector<std::string>& roots,
-                     const std::string& baseline_path, const std::string& only_pass) {
+Report analyze_paths(const std::vector<std::string>& roots, const std::string& only_pass) {
   std::vector<SourceFile> sources;
   std::vector<Finding> io;
   std::vector<std::string> files;
@@ -857,36 +1129,23 @@ Report analyze_paths(const std::vector<std::string>& roots,
     sources.push_back(SourceFile{file, buf.str()});
   }
 
-  std::string baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      io.push_back(Finding{baseline_path, 0, "io", "unreadable:" + baseline_path,
-                           "cannot read the suppression baseline"});
-    } else {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      baseline = buf.str();
-    }
-  }
-
-  Report report = analyze_sources(sources, baseline, only_pass);
+  Report report = analyze_sources(sources, only_pass);
   report.findings.insert(report.findings.begin(), io.begin(), io.end());
   return report;
 }
 
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
   std::vector<std::string> roots;
-  std::string baseline_path;
   std::string only_pass;
-  bool json = false;
   const char* usage =
-      "usage: opm_analyze [--format=text|json] [--baseline=FILE] [--pass=ID]\n"
-      "                   [--list-passes] <path>...\n"
-      "Token-based cross-file static analysis (docs/MODEL.md §15).\n"
-      "Directories are walked for *.hpp/*.h/*.cpp/*.cc; explicitly listed\n"
-      "files of any type (docs/MODEL.md, scripts/ci.sh) join as reference\n"
-      "text. Exit: 0 clean, 1 findings, 2 usage/IO error.\n";
+      "usage: opm_analyze [--pass=ID] [--list-passes] <path>...\n"
+      "The repo's static checker (docs/MODEL.md §10): ten passes over the\n"
+      "lexed sources. Directories are walked for *.hpp/*.h/*.cpp/*.cc;\n"
+      "explicitly listed files of any type (docs/MODEL.md, scripts/ci.sh)\n"
+      "join as reference text. Silence one line with a line comment\n"
+      "  // opm-lint: allow(<pass-id>[,...])\n"
+      "A marker that silences nothing is itself a finding.\n"
+      "Exit: 0 clean, 1 findings, 2 usage/IO error.\n";
 
   for (const std::string& a : args) {
     if (a == "--list-passes") {
@@ -896,20 +1155,6 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     if (a == "--help" || a == "-h") {
       err << usage;
       return 0;
-    }
-    if (a.rfind("--format=", 0) == 0) {
-      const std::string v = a.substr(9);
-      if (v == "json") json = true;
-      else if (v == "text") json = false;
-      else {
-        err << "opm_analyze: unknown format \"" << v << "\"\n" << usage;
-        return 2;
-      }
-      continue;
-    }
-    if (a.rfind("--baseline=", 0) == 0) {
-      baseline_path = a.substr(11);
-      continue;
     }
     if (a.rfind("--pass=", 0) == 0) {
       only_pass = a.substr(7);
@@ -932,57 +1177,23 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     return 2;
   }
 
-  const Report report = analyze_paths(roots, baseline_path, only_pass);
+  const Report report = analyze_paths(roots, only_pass);
+  for (const Finding& f : report.findings)
+    out << f.file << ":" << f.line << ": [" << f.pass << "] " << f.message << "\n";
+  for (const PassTiming& t : report.timing) {
+    char ms[32];
+    std::snprintf(ms, sizeof ms, "%.1f", t.seconds * 1e3);
+    out << "opm_analyze: pass " << t.pass << ": " << t.findings << " finding(s) in " << ms
+        << " ms\n";
+  }
+  if (report.findings.empty()) {
+    out << "opm_analyze: clean\n";
+    return 0;
+  }
+  out << "opm_analyze: " << report.findings.size() << " finding(s)\n";
   const bool io_error = std::any_of(report.findings.begin(), report.findings.end(),
                                     [](const Finding& f) { return f.pass == "io"; });
-
-  if (json) {
-    auto esc = [](const std::string& s) {
-      std::string o;
-      for (char c : s) {
-        if (c == '"' || c == '\\') o += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          o += buf;
-          continue;
-        }
-        o += c;
-      }
-      return o;
-    };
-    out << "{\"findings\":[";
-    for (std::size_t i = 0; i < report.findings.size(); ++i) {
-      const Finding& f = report.findings[i];
-      out << (i ? "," : "") << "{\"file\":\"" << esc(f.file) << "\",\"line\":" << f.line
-          << ",\"pass\":\"" << esc(f.pass) << "\",\"key\":\"" << esc(f.key)
-          << "\",\"message\":\"" << esc(f.message) << "\"}";
-    }
-    out << "],\"suppressed\":" << report.suppressed << ",\"passes\":[";
-    for (std::size_t i = 0; i < report.timing.size(); ++i) {
-      const PassTiming& t = report.timing[i];
-      out << (i ? "," : "") << "{\"pass\":\"" << esc(t.pass)
-          << "\",\"ms\":" << static_cast<long long>(t.seconds * 1e6) / 1000.0
-          << ",\"findings\":" << t.findings << "}";
-    }
-    out << "]}\n";
-  } else {
-    for (const Finding& f : report.findings)
-      out << f.file << ":" << f.line << ": [" << f.pass << "] " << f.message << "\n";
-    for (const PassTiming& t : report.timing) {
-      char ms[32];
-      std::snprintf(ms, sizeof ms, "%.1f", t.seconds * 1e3);
-      out << "opm_analyze: pass " << t.pass << ": " << t.findings << " finding(s) in "
-          << ms << " ms\n";
-    }
-    if (report.findings.empty())
-      out << "opm_analyze: clean (" << report.suppressed << " suppressed by baseline)\n";
-    else
-      out << "opm_analyze: " << report.findings.size() << " finding(s), "
-          << report.suppressed << " suppressed by baseline\n";
-  }
-  if (io_error) return 2;
-  return report.findings.empty() ? 0 : 1;
+  return io_error ? 2 : 1;
 }
 
 }  // namespace opm::analyze

@@ -5,18 +5,16 @@
 #include <string>
 #include <vector>
 
-/// opm_analyze — token-based cross-file static analysis (docs/MODEL.md §15).
+/// opm_analyze — the repo's one static checker (docs/MODEL.md §10).
 ///
-/// opm_lint (tools/lint.*) checks per-line invariants inside one file.
-/// The invariants that every PR since 1 has been adding *by convention*
-/// are cross-file: lock acquisition order spans translation units, the
-/// serve error-kind taxonomy spans protocol code, docs, and tests, dotted
-/// metric names span src/ producers and bench/ci consumers, and the
-/// util → {sim,dense,sparse,kernels,trace} → core → {serve,advise}
-/// layering spans the whole include graph. opm_analyze makes those
-/// mechanical: it lexes every source with the shared tokenizer
-/// (tools/lexer.*) and runs four semantic passes over the combined
-/// token streams:
+/// The determinism and concurrency disciplines behind the byte-identical
+/// tables are mostly social contracts ("seeded RNG only", "canonical %a
+/// serialization", "every mutex-protected field is annotated", "util is
+/// the bottom layer"). opm_analyze makes them mechanical: it lexes every
+/// C++ source once with the shared tokenizer (tools/lexer.*), needs no
+/// compiler, and runs in well under a second — so it sits *before* the
+/// sanitizer build matrix and fails fast. Ten passes share the lexed
+/// inputs, in table order:
 ///
 ///   lock-order   harvest util::MutexLock acquisition scopes across all
 ///                annotated files, build the global lock-order graph
@@ -42,11 +40,28 @@
 ///                (util includes only util; sim never core/serve/advise;
 ///                core never serve/advise; advise never serve; src never
 ///                bench/tests/tools/examples)
+///   rng          rand()/srand()/time()/std::random_device outside
+///                util/rng — results must come from seeded generators
+///   thread-ownership  raw std::thread/std::jthread outside
+///                util/thread_pool and src/serve
+///   float-print  %f/%e/%g conversions or std::to_string in canonical
+///                serialization paths (must use util::append_hexf)
+///   guarded-mutex  a src/ class declaring a mutex member with no
+///                OPM_GUARDED_BY field in the same class
+///   pragma-once  every header carries #pragma once
+///   no-endl      std::endl in src/ hot paths (use "\n")
 ///
-/// Findings carry a stable (pass, key) identity; a checked-in suppression
-/// baseline (one "pass key" pair per line, '#' comments) grandfathers
-/// documented edges without hiding new ones — a baseline entry that
-/// matches nothing is itself a finding, so the file can only shrink.
+/// The last six are per-line rules: token-level matches over each C++
+/// input's classified lines, scoped by path. Non-C++ inputs
+/// (docs/MODEL.md, scripts/ci.sh) are reference text for the cross-file
+/// passes only.
+///
+/// One suppression mechanism: a line comment carrying the `opm-lint`
+/// allow marker with a list of pass ids silences those passes' findings
+/// on that line (docs/MODEL.md §10 spells it). A marker inside a string
+/// literal or a block comment is data. A marker that names an unknown id,
+/// or an id with no finding on its own line, is itself a finding — so
+/// suppressions can only shrink.
 ///
 /// Exit contract (same as opm_benchdiff): 0 clean, 1 findings, 2
 /// usage/IO error.
@@ -55,8 +70,8 @@ namespace opm::analyze {
 struct Finding {
   std::string file;     ///< path as scanned (repo-root-relative)
   std::size_t line;     ///< 1-based; 0 = whole-file / cross-file
-  std::string pass;     ///< "lock-order" | "protocol" | "metrics" | "layering" | "baseline" | "io"
-  std::string key;      ///< stable suppression key (no whitespace)
+  std::string pass;     ///< a pass id, "marker" (unknown id in a marker) or "io"
+  std::string key;      ///< stable identity within a cross-file pass ("" for per-line rules)
   std::string message;
 
   bool operator==(const Finding&) const = default;
@@ -67,7 +82,7 @@ struct PassInfo {
   const char* summary;
 };
 
-/// The pass table, in execution order (stable IDs; docs/MODEL.md §15).
+/// The pass table, in execution order (stable IDs; docs/MODEL.md §10).
 const std::vector<PassInfo>& passes();
 
 /// One input file. Non-C++ paths (docs/MODEL.md, scripts/ci.sh) take part
@@ -86,32 +101,26 @@ struct PassTiming {
 };
 
 struct Report {
-  std::vector<Finding> findings;    ///< after baseline subtraction, sorted
-  std::size_t suppressed = 0;       ///< findings a baseline entry absorbed
+  std::vector<Finding> findings;    ///< after marker suppression, sorted
   std::vector<PassTiming> timing;   ///< one entry per executed pass
 };
 
-/// Runs every pass over in-memory sources. `baseline` is the suppression
-/// file content ("" = empty baseline). `only_pass` restricts execution to
-/// one pass id ("" = all). Stale baseline entries surface as "baseline"
-/// findings.
+/// Runs every pass over in-memory sources, then applies the line markers.
+/// `only_pass` restricts execution — and the stale-marker check — to one
+/// pass id ("" = all).
 Report analyze_sources(const std::vector<SourceFile>& sources,
-                       const std::string& baseline = {},
                        const std::string& only_pass = {});
 
 /// Loads *.hpp/*.h/*.cpp/*.cc under the roots (files or directories,
 /// sorted for determinism) plus any explicitly-listed non-C++ files, then
 /// analyzes. Unreadable paths produce "io" findings.
 Report analyze_paths(const std::vector<std::string>& roots,
-                     const std::string& baseline_path = {},
                      const std::string& only_pass = {});
 
 /// CLI entry point (main() is a one-liner around this):
-///   opm_analyze [--format=text|json] [--baseline=FILE] [--pass=ID]
-///               [--list-passes] <path>...
-/// Text mode prints file:line: [pass] message lines, per-pass timing, and
-/// a summary; JSON mode prints one machine-readable object.
-/// Exit: 0 clean, 1 findings, 2 usage/IO error.
+///   opm_analyze [--pass=ID] [--list-passes] <path>...
+/// Prints file:line: [pass] message lines, per-pass timing, and a
+/// summary. Exit: 0 clean, 1 findings, 2 usage/IO error.
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
 
 }  // namespace opm::analyze

@@ -27,7 +27,7 @@
 /// a stale baseline). `--allow-new` downgrades the latter to a note for
 /// intentional transitions; the durable fix is `--update-baseline`.
 ///
-/// Exit-code contract (mirrors opm_lint, pinned by tests/test_benchdiff):
+/// Exit-code contract (mirrors opm_analyze, pinned by tests/test_benchdiff):
 ///   0  every baseline metric present and within tolerance (improvements
 ///      included — they print, they never fail)
 ///   1  at least one regression, baseline metric missing from current,

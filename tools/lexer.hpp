@@ -4,16 +4,15 @@
 #include <string>
 #include <vector>
 
-/// The shared C++ lexer behind the static-analysis tools (tools/lint.*,
-/// tools/analyze.*).
+/// The C++ lexer behind opm_analyze (tools/analyze.*, docs/MODEL.md §10).
 ///
-/// PR 4's opm_lint carried a private per-line classifier; opm_analyze
-/// (docs/MODEL.md §15) needs a real token stream to follow lock scopes,
-/// harvest string literals, and build include graphs across files. Both
-/// now share this lexer, so "what is a comment", "what is a string", and
-/// "where does a raw literal end" have exactly one answer in the repo —
-/// and suppression markers inside string literals or block comments can
-/// no longer masquerade as real `// opm-lint: allow(...)` hatches.
+/// Every pass reads the same lexed input: the cross-file passes need a
+/// real token stream to follow lock scopes, harvest string literals, and
+/// build include graphs; the per-line rules need each line classified.
+/// One lexer means "what is a comment", "what is a string", and "where
+/// does a raw literal end" have exactly one answer in the repo — and a
+/// suppression marker spelled inside a string literal or a block comment
+/// stays data instead of silencing a finding.
 ///
 /// This is a lexer, not a preprocessor or parser: no macro expansion, no
 /// trigraphs, no line splicing outside string literals. It understands
@@ -27,10 +26,10 @@
 /// Output is dual-view over the same scan:
 ///   * a token stream (identifiers, numbers, strings with *decoded-ish*
 ///     text, char literals, punctuation) with 1-based line numbers — what
-///     the semantic passes of opm_analyze consume;
+///     the cross-file passes consume;
 ///   * per-line classified text (code with literals collapsed, the
 ///     string contents, the line-comment text, the raw line) — what the
-///     line-oriented lint rules consume.
+///     per-line rules and the suppression markers consume.
 namespace opm::lex {
 
 enum class TokenKind {
@@ -57,7 +56,7 @@ struct Token {
 /// char literals collapsed to `""` / `''`; `strings` concatenates the
 /// string-literal contents that appear on the line; `line_comment` holds
 /// only `//`-comment text (block-comment interiors are deliberately NOT
-/// included — the allow() escape hatch honors line comments alone);
+/// included — suppression markers count in line comments alone);
 /// `raw` is the verbatim line.
 struct Line {
   std::string code;
