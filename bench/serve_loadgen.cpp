@@ -55,7 +55,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -67,6 +66,7 @@
 
 #include "common.hpp"
 #include "core/sweep.hpp"
+#include "serve/client.hpp"
 #include "serve/options.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
@@ -75,64 +75,12 @@
 #include "util/format.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/socket.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
 using namespace opm;
 namespace protocol = opm::serve::protocol;
-
-/// Blocking newline-framed client over any serve-tier address
-/// (unix:PATH or HOST:PORT).
-struct SocketClient {
-  int fd = -1;
-  std::string buf;
-
-  bool connect_to(const std::string& address) {
-    util::SocketAddress addr;
-    std::string error;
-    if (!util::parse_address(address, &addr, &error)) return false;
-    fd = util::connect_to(addr, &error);
-    return fd >= 0;
-  }
-
-  bool send_line(std::string line) {
-    line.push_back('\n');
-    return util::send_all(fd, line);
-  }
-
-  bool recv_line(std::string* line) {
-    for (;;) {
-      const std::size_t pos = buf.find('\n');
-      if (pos != std::string::npos) {
-        line->assign(buf, 0, pos);
-        buf.erase(0, pos + 1);
-        return true;
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// Shared-secret handshake; required before anything else on
-  /// token-gated TCP listeners.
-  bool hello(const std::string& token) {
-    if (!send_line(R"({"v":2,"req_id":"hello","type":"hello","token":")" +
-                   util::json_escape(token) + "\"}"))
-      return false;
-    std::string line;
-    protocol::ResponseView view;
-    return recv_line(&line) && protocol::parse_response(line, &view) && view.ok;
-  }
-
-  ~SocketClient() {
-    if (fd >= 0) ::close(fd);
-  }
-};
 
 /// The unique request trace: a cross-section of types and platforms,
 /// each small enough that the argument-free run stays quick.
@@ -209,8 +157,8 @@ bool stats_has_group(const util::JsonValue& envelope, const char* group) {
 }
 
 bool fetch_stats(const std::string& address, const std::string& token, util::JsonValue* out) {
-  SocketClient c;
-  if (!c.connect_to(address)) return false;
+  serve::LineClient c;
+  if (!c.connect(address)) return false;
   if (!token.empty() && !c.hello(token)) return false;
   if (!c.send_line(R"({"type":"stats","id":"loadgen-stats"})")) return false;
   std::string line;
@@ -228,6 +176,58 @@ struct ClientResult {
   int rejected = 0;
   int failed = 0;
 };
+
+/// Deals `trace` (indices into `uniques`) round-robin over `clients`
+/// concurrent connections; each sends its requests one at a time and times
+/// every round trip. Error answers count as rejected, unreadable ones as
+/// failed; a connection that cannot be made fails all its requests, and
+/// one that breaks stops its client.
+std::vector<ClientResult> replay(const std::string& address, const std::string& token,
+                                 const std::vector<std::string>& uniques,
+                                 const std::vector<std::size_t>& trace, std::size_t clients,
+                                 bool v2) {
+  std::vector<std::vector<std::size_t>> per_client(clients);
+  for (std::size_t i = 0; i < trace.size(); ++i) per_client[i % clients].push_back(trace[i]);
+  std::vector<ClientResult> results(clients);
+  std::vector<std::thread> threads;  // opm-lint: allow(thread-ownership) — loadgen clients model independent processes
+  for (std::size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      ClientResult& res = results[c];
+      const auto c0 = std::chrono::steady_clock::now();
+      serve::LineClient sock;
+      std::string error;
+      if (!sock.connect(address, &error) || (!token.empty() && !sock.hello(token))) {
+        std::cout << "client " << c << " cannot connect to " << address << ": " << error << "\n";
+        res.failed = static_cast<int>(per_client[c].size());
+        return;
+      }
+      for (std::size_t i = 0; i < per_client[c].size(); ++i) {
+        const std::size_t u = per_client[c][i];
+        const std::string id = "c" + std::to_string(c) + "-r" + std::to_string(i);
+        const auto r0 = std::chrono::steady_clock::now();
+        std::string line;
+        if (!sock.send_line(with_id(uniques[u], id, v2)) || !sock.recv_line(&line)) {
+          ++res.failed;
+          return;  // connection is gone; remaining requests count as failed
+        }
+        res.latencies_ms.push_back(
+            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - r0)
+                .count());
+        protocol::ResponseView view;
+        if (!protocol::parse_response(line, &view)) {
+          ++res.failed;
+        } else if (!view.ok) {
+          ++res.rejected;
+        } else {
+          res.payloads.emplace_back(u, std::move(view.payload));
+        }
+      }
+      res.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - c0).count();
+    });
+  }
+  for (auto& t : threads) t.join();
+  return results;
+}
 
 /// In-process overload probe: queue_depth=1 and one worker guarantee the
 /// burst outruns the dispatcher. Returns true when >= 1 structured
@@ -267,22 +267,14 @@ bool overload_probe() {
 
   int ok = 0, overload = 0, other = 0;
   for (const auto& r : responses) {
-    const auto doc = util::parse_json(r);
-    if (!doc) return false;
-    const util::JsonValue* okv = doc->find("ok");
-    if (okv && okv->is_bool() && okv->boolean) {
+    protocol::ResponseView view;
+    if (!protocol::parse_response(r, &view)) return false;
+    if (view.ok)
       ++ok;
-      continue;
-    }
-    const util::JsonValue* e = doc->find("error");
-    const util::JsonValue* cat = e ? e->find("category") : nullptr;
-    const util::JsonValue* retry = e ? e->find("retry_after_ms") : nullptr;
-    if (cat && cat->is_string() && cat->string == "overload" && retry && retry->is_number() &&
-        retry->number > 0) {
+    else if (view.error.category == "overload" && view.error.retry_after_ms > 0)
       ++overload;
-    } else {
+    else
       ++other;
-    }
   }
   std::cout << "overload probe: burst=" << kBurst << " ok=" << ok << " overload=" << overload
             << " other=" << other << "\n";
@@ -348,47 +340,16 @@ double run_router_topology(int nshards, const std::vector<std::string>& uniques,
     return -1.0;
   }
 
-  std::vector<std::vector<std::size_t>> per_client(clients);
-  for (std::size_t i = 0; i < trace.size(); ++i) per_client[i % clients].push_back(trace[i]);
-
-  std::vector<ClientResult> results(clients);
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;  // opm-lint: allow(thread-ownership) — loadgen clients model independent processes
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      ClientResult& res = results[c];
-      SocketClient sock;
-      if (!sock.connect_to(rc.listen_address)) {
-        std::cout << "router bench: client " << c << " cannot connect to "
-                  << rc.listen_address << ": " << std::strerror(errno) << "\n";
-        res.failed = static_cast<int>(per_client[c].size());
-        return;
-      }
-      for (std::size_t i = 0; i < per_client[c].size(); ++i) {
-        const std::size_t u = per_client[c][i];
-        const std::string id = "c" + std::to_string(c) + "-r" + std::to_string(i);
-        std::string line;
-        if (!sock.send_line(with_id(uniques[u], id, /*v2=*/true)) || !sock.recv_line(&line)) {
-          ++res.failed;
-          return;
-        }
-        protocol::ResponseView view;
-        if (!protocol::parse_response(line, &view) || !view.ok) {
-          ++res.failed;
-          continue;
-        }
-        res.payloads.emplace_back(u, view.payload);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  const std::vector<ClientResult> results =
+      replay(rc.listen_address, "", uniques, trace, clients, /*v2=*/true);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   std::size_t served = 0;
   for (const auto& r : results) {
     served += r.payloads.size();
-    *failures += static_cast<std::size_t>(r.failed);
+    *failures += static_cast<std::size_t>(r.failed + r.rejected);
     for (const auto& [u, payload] : r.payloads)
       if (payload != offline[u]) ++*mismatches;
   }
@@ -559,59 +520,13 @@ int main(int argc, char** argv) {
       std::swap(trace[i - 1], trace[(lcg >> 33) % i]);
     }
   }
-  std::vector<std::vector<std::size_t>> per_client(clients);
-  for (std::size_t i = 0; i < trace.size(); ++i) per_client[i % clients].push_back(trace[i]);
 
   util::JsonValue stats_before;
   const bool have_stats_before = fetch_stats(address, token, &stats_before);
 
   // ---- load phase ----
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<ClientResult> results(clients);
-  std::vector<std::thread> threads;  // opm-lint: allow(thread-ownership) — loadgen clients model independent processes
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      ClientResult& res = results[c];
-      const auto c0 = std::chrono::steady_clock::now();
-      SocketClient sock;
-      if (!sock.connect_to(address) || (!token.empty() && !sock.hello(token))) {
-        res.failed = static_cast<int>(per_client[c].size());
-        return;
-      }
-      for (std::size_t i = 0; i < per_client[c].size(); ++i) {
-        const std::size_t u = per_client[c][i];
-        const std::string id = "c" + std::to_string(c) + "-r" + std::to_string(i);
-        const auto r0 = std::chrono::steady_clock::now();
-        std::string line;
-        if (!sock.send_line(with_id(uniques[u], id, v2)) || !sock.recv_line(&line)) {
-          ++res.failed;
-          return;  // connection is gone; remaining requests count as failed
-        }
-        res.latencies_ms.push_back(
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - r0)
-                .count());
-        const auto doc = util::parse_json(line);
-        const util::JsonValue* ok = doc ? doc->find("ok") : nullptr;
-        if (!doc || !ok || !ok->is_bool()) {
-          ++res.failed;
-          continue;
-        }
-        if (!ok->boolean) {
-          ++res.rejected;
-          continue;
-        }
-        const util::JsonValue* payload = doc->find("payload");
-        if (!payload || !payload->is_string()) {
-          ++res.failed;
-          continue;
-        }
-        res.payloads.emplace_back(u, payload->string);
-      }
-      res.wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - c0).count();
-    });
-  }
-  for (auto& t : threads) t.join();
+  const std::vector<ClientResult> results = replay(address, token, uniques, trace, clients, v2);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 

@@ -5,19 +5,20 @@
 #   ./scripts/ci.sh [static|thread|address|undefined|cache|serve|advise|perf|all]
 #   (default: all)
 #
-# The static job runs FIRST and needs no test execution: it builds only
-# the opm_analyze checker and runs its ten passes once over src/ tools/
+# The static job runs FIRST and needs no test execution: it builds the
+# opm_analyze checker and runs its ten passes once over src/ tools/
 # bench/ tests/ docs/MODEL.md scripts/ci.sh, fail-fast — four cross-file
 # passes (lock-order cycles, protocol taxonomy exhaustiveness,
 # metrics-name consistency, layering) and six per-line rules
 # (seeded-RNG-only, thread ownership, canonical %a serialization,
 # OPM_GUARDED_BY coverage, #pragma once, no std::endl; docs/MODEL.md
 # §10). A line marker that silences nothing is a finding too. It then
-# self-checks that five seeded violations still trip the checker. When a
-# clang++ with -Wthread-safety is available it also compiles the full tree
-# with the thread-safety annotations promoted to errors, proving every
-# lock acquisition at compile time; without clang the gate is skipped with
-# a notice (GCC does not implement the analysis).
+# self-checks that five seeded violations still trip the checker, and
+# builds every target with -Werror, so a new compiler warning fails CI.
+# When a clang++ with -Wthread-safety is available it also compiles the
+# full tree with the thread-safety annotations promoted to errors,
+# proving every lock acquisition at compile time; without clang the gate
+# is skipped with a notice (GCC does not implement the analysis).
 #
 # Sanitizer jobs build the full test suite with -DOPM_SANITIZE=<mode> into
 # their own build trees (build-tsan / build-asan / build-ubsan) and run
@@ -97,9 +98,10 @@ run_static() {
   local dir="build-static"
   echo "== [static] configure & build opm_analyze ($dir)"
   # Compile commands are exported so editor tooling / clang-tidy sessions
-  # can piggyback on the CI configure.
+  # can piggyback on the CI configure. -Werror holds for the whole tree:
+  # the warning-clean build below reuses this configuration.
   cmake -B "$root/$dir" -G Ninja -S "$root" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-Werror \
         -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
   cmake --build "$root/$dir" --target opm_analyze
   echo "== [static] opm_analyze (ten passes, docs/MODEL.md §10)"
@@ -137,6 +139,9 @@ run_static() {
     fi
   done
   echo "   all five seeded violations caught (nonzero exit, file:line diagnostics)"
+  echo "== [static] warning-clean build (every target, -Werror)"
+  cmake --build "$root/$dir"
+  echo "   every target builds without a compiler warning"
   if command -v clang++ > /dev/null 2>&1; then
     echo "== [static] clang -Wthread-safety -Werror full-tree compile"
     local tsdir="build-threadsafety"

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 
 #include "core/result_cache.hpp"
 #include "sim/window_sampler.hpp"
@@ -52,6 +53,11 @@ SweepConfig apply_env(SweepConfig base);
 /// one call, without applying it. Shared by bench::init and opm_serve so
 /// both front ends accept the same knobs.
 SweepConfig resolve_sweep_config(int argc, const char* const* argv);
+
+/// The CLI flags resolve_sweep_config reads, for binaries that refuse
+/// flags they do not take (opm_serve).
+inline constexpr std::string_view kSweepConfigFlags[] = {
+    "sweep-workers", "cache-dir", "cache-max-bytes", "no-cache", "no-sweep-stats", "sample"};
 
 /// Applies the config process-wide: set_sweep_workers(), the result-cache
 /// configuration, and the telemetry switch.

@@ -28,10 +28,6 @@ struct Conn {
   bool is_socket OPM_GUARDED_BY(mutex) = true;
   bool owns_fd OPM_GUARDED_BY(mutex) = true;
   bool open OPM_GUARDED_BY(mutex) = true;
-  /// Listener-level auth state: set once the connection has presented a
-  /// valid hello token (or the listener requires none). Only the reader
-  /// thread flips it, but stats/teardown may peek, hence guarded.
-  bool authed OPM_GUARDED_BY(mutex) = false;
 
   /// Publishes the fd and its flavor; called once, before the Conn is
   /// shared with any writer.
@@ -47,16 +43,6 @@ struct Conn {
   int read_fd() OPM_EXCLUDES(mutex) {
     util::MutexLock lock(mutex);
     return fd;
-  }
-
-  void set_authed(bool v) OPM_EXCLUDES(mutex) {
-    util::MutexLock lock(mutex);
-    authed = v;
-  }
-
-  bool is_authed() OPM_EXCLUDES(mutex) {
-    util::MutexLock lock(mutex);
-    return authed;
   }
 
   bool is_open() OPM_EXCLUDES(mutex) {

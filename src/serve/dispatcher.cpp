@@ -20,14 +20,6 @@ namespace opm::serve {
 
 namespace {
 
-protocol::Error rejection(const char* category, const char* message, int retry_after_ms) {
-  protocol::Error e;
-  e.category = category;
-  e.message = message;
-  e.retry_after_ms = retry_after_ms;
-  return e;
-}
-
 /// A flight's payload in the form its envelopes embed. Sweep CSV is
 /// rendered already JSON-escaped, so wrapping it is a copy, not an escape
 /// pass. Advise JSON stays raw — its sample note is read from it — and is
@@ -137,10 +129,10 @@ struct Dispatcher::Impl {
       if (busy) {
         answer(respond,
                protocol::render_error(
-                   env, rejection("overload",
-                                  "cannot resize sweep workers while requests are queued "
-                                  "or in flight; retry later",
-                                  config.retry_after_ms)));
+                   env, protocol::make_error("overload",
+                                             "cannot resize sweep workers while requests are "
+                                             "queued or in flight; retry later",
+                                             config.retry_after_ms)));
         return;
       }
     }
@@ -187,12 +179,12 @@ struct Dispatcher::Impl {
         flights.fail(flight);
         errors_internal.add(1);
         answer(item.respond,
-               protocol::render_error(env, rejection("internal", e.what(), 0)));
+               protocol::render_error(env, protocol::make_error("internal", e.what())));
       } catch (...) {
         flights.fail(flight);
         errors_internal.add(1);
         answer(item.respond,
-               protocol::render_error(env, rejection("internal", "sweep failed", 0)));
+               protocol::render_error(env, protocol::make_error("internal", "sweep failed")));
       }
       return;
     }
@@ -203,8 +195,8 @@ struct Dispatcher::Impl {
     } else {
       errors_internal.add(1);
       answer(item.respond,
-             protocol::render_error(env,
-                                    rejection("internal", "coalesced computation failed", 0)));
+             protocol::render_error(
+                 env, protocol::make_error("internal", "coalesced computation failed")));
     }
   }
 
@@ -280,8 +272,8 @@ void Dispatcher::submit(std::uint64_t client, protocol::Request req, Respond res
     const int owner = impl_->ring.lookup(protocol::request_key(req));
     if (owner != impl_->config.shard_id) {
       impl_->rejected_redirect.add(1);
-      protocol::Error err = rejection(
-          "redirect", "this shard does not own the request key; ask the hinted shard", 0);
+      protocol::Error err = protocol::make_error(
+          "redirect", "this shard does not own the request key; ask the hinted shard");
       err.shard = owner;
       impl_->answer(respond, protocol::render_error(env, err));
       return;
@@ -313,20 +305,22 @@ void Dispatcher::submit(std::uint64_t client, protocol::Request req, Respond res
     impl_->rejected_draining.add(1);
     impl_->answer(respond,
                   protocol::render_error(
-                      env, rejection("draining", "server is draining; resubmit elsewhere",
-                                     impl_->config.retry_after_ms)));
+                      env, protocol::make_error("draining",
+                                                "server is draining; resubmit elsewhere",
+                                                impl_->config.retry_after_ms)));
   } else if (over_quota) {
     impl_->rejected_quota.add(1);
     impl_->answer(respond,
                   protocol::render_error(
-                      env, rejection("overload", "per-client quota exceeded; retry later",
-                                     impl_->config.retry_after_ms)));
+                      env, protocol::make_error("overload",
+                                                "per-client quota exceeded; retry later",
+                                                impl_->config.retry_after_ms)));
   } else {
     impl_->rejected_overload.add(1);
     impl_->answer(respond,
                   protocol::render_error(
-                      env, rejection("overload", "request queue is full; retry later",
-                                     impl_->config.retry_after_ms)));
+                      env, protocol::make_error("overload", "request queue is full; retry later",
+                                                impl_->config.retry_after_ms)));
   }
 }
 

@@ -1,6 +1,15 @@
 #include "serve/options.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <csignal>
+#include <iterator>
+
+#include "core/sweep_config.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 
 namespace opm::serve {
 
@@ -17,6 +26,17 @@ std::vector<std::string> split_commas(const std::string& text) {
     start = comma + 1;
   }
   return out;
+}
+
+std::atomic<int> g_drain_fd{-1};
+
+extern "C" void on_terminate(int) {
+  const int fd = g_drain_fd.load(std::memory_order_relaxed);
+  if (fd >= 0) {
+    const char byte = 'd';
+    // Async-signal-safe; the accept loop wakes on the pipe.
+    [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
+  }
 }
 
 }  // namespace
@@ -70,10 +90,59 @@ RouterConfig to_router_config(const Options& opt) {
   config.backends = opt.shards;
   config.ring_shards = opt.ring_shards;
   config.auth_token = opt.token;
-  config.backend_token = opt.token;
   config.max_line_bytes = opt.max_line_bytes;
   config.max_redirects = opt.max_redirects;
   return config;
+}
+
+std::vector<std::string_view> serve_flags() {
+  std::vector<std::string_view> flags = {"listen",        "token",          "quota",
+                                         "shard-id",      "shard-count",    "queue-depth",
+                                         "serve-workers", "retry-after-ms", "max-line-bytes",
+                                         "stdio"};
+  flags.insert(flags.end(), std::begin(core::kSweepConfigFlags), std::end(core::kSweepConfigFlags));
+  return flags;
+}
+
+std::vector<std::string_view> router_flags() {
+  return {"listen", "shards", "ring-shards", "token", "max-redirects", "max-line-bytes"};
+}
+
+int check_flags(const std::string& name, const util::Cli& cli,
+                const std::vector<std::string_view>& flags) {
+  if (const std::string retired = retired_flag_error(cli, "--listen"); !retired.empty()) {
+    util::log_error(name + ": " + retired);
+    return 2;
+  }
+  if (!cli.positional().empty()) {
+    util::log_error(name + ": unexpected argument " + cli.positional().front());
+    return 2;
+  }
+  for (const std::string& flag : cli.names()) {
+    if (std::find(flags.begin(), flags.end(), flag) == flags.end()) {
+      util::log_error(name + ": unknown flag --" + flag);
+      return 2;
+    }
+  }
+  return 0;
+}
+
+int run_until_drained(const std::string& name, Frontend& front, const std::string& detail) {
+  std::string error;
+  if (!front.start(&error)) {
+    util::log_error(name + ": " + error);
+    return 1;
+  }
+  g_drain_fd.store(front.drain_fd(), std::memory_order_relaxed);
+  struct sigaction sa = {};
+  sa.sa_handler = on_terminate;
+  ::sigaction(SIGTERM, &sa, nullptr);
+  ::sigaction(SIGINT, &sa, nullptr);
+
+  util::log_info(name + " listening on " + front.where() + detail);
+  front.wait();
+  util::log_info(name + " drained cleanly");
+  return 0;
 }
 
 }  // namespace opm::serve

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/router.hpp"
@@ -10,10 +11,10 @@ namespace opm::util {
 class Cli;
 }
 
-/// One options surface for the whole serve tier. `opm_serve`,
-/// `opm_router`, and `bench/serve_loadgen` used to each hand-roll their
-/// flag parsing; they now all resolve through serve::Options, so a flag
-/// means the same thing everywhere it appears:
+/// One options surface for the whole serve tier, and the one main body
+/// both serve binaries run. `opm_serve`, `opm_router`, and
+/// `bench/serve_loadgen` all resolve their flags through serve::Options,
+/// so a flag means the same thing everywhere it appears:
 ///
 ///   --listen=ADDR          listener (unix:PATH | HOST:PORT; port 0 = ephemeral)
 ///   --connect=ADDR         peer to talk to (loadgen; router backends use --shards)
@@ -63,5 +64,21 @@ std::string retired_flag_error(const util::Cli& cli, const std::string& flag);
 /// The server/router configs an Options implies.
 ServerConfig to_server_config(const Options& opt);
 RouterConfig to_router_config(const Options& opt);
+
+/// Each binary's closed flag list: the Options flags it applies, plus
+/// core::resolve_sweep_config's for opm_serve.
+std::vector<std::string_view> serve_flags();
+std::vector<std::string_view> router_flags();
+
+/// The command-line gate both binaries run first: 0 when `cli` holds only
+/// `flags`; otherwise logs the offender under `name` and returns exit
+/// code 2 (the retired --socket names --listen=unix:PATH). A misspelled
+/// flag is refused, never silently replaced by its default.
+int check_flags(const std::string& name, const util::Cli& cli,
+                const std::vector<std::string_view>& flags);
+
+/// The rest of both mains: start (exit 1 on failure), SIGTERM/SIGINT as
+/// a drain request, "NAME listening on WHERE" + `detail`, wait, exit 0.
+int run_until_drained(const std::string& name, Frontend& front, const std::string& detail = "");
 
 }  // namespace opm::serve

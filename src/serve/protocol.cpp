@@ -37,9 +37,7 @@ bool parse_kernel(const std::string& name, core::KernelId* out) {
 }
 
 bool bad(Error* err, std::string message) {
-  err->category = "bad-request";
-  err->message = std::move(message);
-  err->retry_after_ms = 0;
+  *err = make_error("bad-request", std::move(message));
   return false;
 }
 
@@ -95,6 +93,14 @@ const char* to_string(RequestType type) {
 
 const char* kernel_name(core::KernelId id) { return advise::kernel_token(id); }
 
+Error make_error(const char* category, std::string message, int retry_after_ms) {
+  Error e;
+  e.category = category;
+  e.message = std::move(message);
+  e.retry_after_ms = retry_after_ms;
+  return e;
+}
+
 Envelope envelope_of(const Request& req, int shard) {
   Envelope env;
   env.version = req.version;
@@ -116,9 +122,7 @@ bool parse_request(std::string_view line, Request* out, Error* err) {
     // never parsed has no envelope to recover beyond the defaults.
     out->version = 1;
     out->id.clear();
-    err->category = "parse";
-    err->message = parse_error;
-    err->retry_after_ms = 0;
+    *err = make_error("parse", parse_error);
     return false;
   }
   return parse_request_value(*doc, out, err);
@@ -130,9 +134,7 @@ bool parse_request_value(const util::JsonValue& doc, Request* out, Error* err) {
   out->version = 1;
   out->id.clear();
   if (!doc.is_object()) {
-    err->category = "parse";
-    err->message = "request must be a JSON object";
-    err->retry_after_ms = 0;
+    *err = make_error("parse", "request must be a JSON object");
     return false;
   }
 
@@ -142,10 +144,9 @@ bool parse_request_value(const util::JsonValue& doc, Request* out, Error* err) {
     if (!v->is_number() || v->number != std::floor(v->number))
       return bad(err, "field \"v\" must be an integer");
     if (v->number != 1.0 && v->number != 2.0) {
-      err->category = "unsupported-version";
-      err->message = "protocol version " + shortest(v->number) +
-                     " is not supported (this server speaks v1 and v2)";
-      err->retry_after_ms = 0;
+      *err = make_error("unsupported-version",
+                        "protocol version " + shortest(v->number) +
+                            " is not supported (this server speaks v1 and v2)");
       return false;
     }
     out->version = static_cast<int>(v->number);
@@ -220,11 +221,10 @@ bool parse_request_value(const util::JsonValue& doc, Request* out, Error* err) {
         c.has_advise_verify = true;
         c.advise_verify = value.boolean;
       } else {
-        err->category = "unsupported-key";
-        err->message = "config knob \"" + key +
-                       "\" is not supported by this server (supported: "
-                       "sweep_workers, cache_enabled, advise_verify)";
-        err->retry_after_ms = 0;
+        *err = make_error("unsupported-key",
+                          "config knob \"" + key +
+                              "\" is not supported by this server (supported: "
+                              "sweep_workers, cache_enabled, advise_verify)");
         return false;
       }
     }
@@ -441,11 +441,7 @@ std::string execute(const Request& req) {
   return sweep_csv(req, "\n");
 }
 
-std::string execute_escaped(const Request& req) {
-  if (req.type == RequestType::kAdvise)
-    return util::json_escape(advise::run_and_render(req.advise));
-  return sweep_csv(req, "\\n");
-}
+std::string execute_escaped(const Request& req) { return sweep_csv(req, "\\n"); }
 
 std::string render_points_csv(const std::vector<core::SweepPoint>& points) {
   return write_points_csv(points, "\n");

@@ -152,6 +152,9 @@ struct Error {
   int shard = -1;         ///< redirect only: the owning shard id
 };
 
+/// An Error of one kind from the taxonomy above.
+Error make_error(const char* category, std::string message, int retry_after_ms = 0);
+
 /// The response-envelope identity of a request: which version to speak,
 /// which token to echo, and (v2) which shard is answering. Every render
 /// function takes one, so the dispatcher and the router produce
@@ -205,10 +208,12 @@ util::Digest128 request_key(const Request& req);
 /// verifier calls this directly and diffs against served payloads.
 std::string execute(const Request& req);
 
-/// execute()'s payload in the JSON-escaped form an envelope embeds, byte
-/// for byte util::json_escape(execute(req)). Sweep CSV is written escaped
-/// in one pass (its only escaped byte is the newline); advise JSON goes
-/// through a real escape pass.
+/// A sweep request's (dense, sparse, footprint) execute() payload in the
+/// JSON-escaped form an envelope embeds, byte for byte
+/// util::json_escape(execute(req)), written escaped in one pass (the CSV's
+/// only escaped byte is the newline). Sweeps only: the dispatcher keeps
+/// advise JSON raw and escapes it when wrapping, and any other type
+/// yields an empty payload.
 std::string execute_escaped(const Request& req);
 
 /// CSV payload: header "x,y,gflops,footprint,rows,nnz,input_id", doubles

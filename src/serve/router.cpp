@@ -1,14 +1,7 @@
 #include "serve/router.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <csignal>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -16,11 +9,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "serve/client.hpp"
 #include "serve/conn.hpp"
 #include "serve/protocol.hpp"
-#include "util/logging.hpp"
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
+#include "util/socket.hpp"
 
 namespace opm::serve {
 
@@ -48,83 +42,38 @@ int HashRing::lookup(const util::Digest128& key) const {
   return it->second;
 }
 
-namespace {
-
-protocol::Error make_error(const char* category, std::string message, int retry_after_ms = 0) {
-  protocol::Error e;
-  e.category = category;
-  e.message = std::move(message);
-  e.retry_after_ms = retry_after_ms;
-  return e;
-}
-
-/// Reads one '\n'-terminated line from a blocking fd (the backend hello
-/// handshake — the only synchronous read the router does).
-bool read_line_blocking(int fd, std::string* out) {
-  out->clear();
-  char c;
-  for (;;) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    if (c == '\n') return true;
-    out->push_back(c);
-    if (out->size() > 1 << 20) return false;
-  }
-}
-
-}  // namespace
-
 struct Router::Impl {
   explicit Impl(const RouterConfig& cfg)
       : config(cfg),
         ring(cfg.ring_shards > 0 ? cfg.ring_shards : static_cast<int>(cfg.backends.size())),
-        requests(util::MetricsRegistry::instance().counter("router.requests")),
         forwarded(util::MetricsRegistry::instance().counter("router.forwarded")),
         responses(util::MetricsRegistry::instance().counter("router.responses")),
         redirects_followed(
             util::MetricsRegistry::instance().counter("router.redirects_followed")),
-        errors_protocol(util::MetricsRegistry::instance().counter("router.errors_protocol")),
-        rejected_auth(util::MetricsRegistry::instance().counter("router.rejected_auth")),
-        backend_errors(util::MetricsRegistry::instance().counter("router.backend_errors")) {
-    std::string error;
-    if (!util::parse_address(config.listen_address, &listen, &error))
-      listen_parse_error = error;
-  }
+        backend_errors(util::MetricsRegistry::instance().counter("router.backend_errors")),
+        listener(
+            ListenerConfig{
+                .address = cfg.listen_address,
+                .name = "opm_router",
+                .auth_token = cfg.auth_token,
+                .max_line_bytes = cfg.max_line_bytes,
+                .errors_protocol =
+                    &util::MetricsRegistry::instance().counter("router.errors_protocol"),
+                .rejected_auth = &util::MetricsRegistry::instance().counter("router.rejected_auth"),
+                .lines = &util::MetricsRegistry::instance().counter("router.requests"),
+                .answered = &responses,
+            },
+            [this](protocol::Request req, const Session& session) {
+              handle_request(std::move(req), session.conn);
+            }) {}
 
   RouterConfig config;
   HashRing ring;
 
-  util::Counter& requests;
   util::Counter& forwarded;
   util::Counter& responses;
   util::Counter& redirects_followed;
-  util::Counter& errors_protocol;
-  util::Counter& rejected_auth;
   util::Counter& backend_errors;
-
-  util::SocketAddress listen;
-  std::string listen_parse_error;
-  bool auth_required = false;
-
-  int listen_fd = -1;
-  int listen_port = -1;
-  int pipe_r = -1;
-  int pipe_w = -1;
-  std::thread accept_thread;
-  bool started = false;
-  bool waited = false;
-
-  /// One persistent connection + reader per backend shard.
-  std::vector<std::shared_ptr<Conn>> backends;
-  std::vector<std::thread> backend_readers;
-
-  util::Mutex conns_mutex;
-  std::vector<std::shared_ptr<Conn>> conns OPM_GUARDED_BY(conns_mutex);
-  std::vector<std::thread> readers OPM_GUARDED_BY(conns_mutex);
 
   /// A forwarded request awaiting its backend response, keyed by the
   /// router-assigned wire id ("g<seq>").
@@ -155,8 +104,9 @@ struct Router::Impl {
       backend_errors.add(1);
       answer(p.client,
              protocol::render_error(
-                 p.env, make_error("internal", "backend shard " + std::to_string(target) +
-                                                   " is unavailable")));
+                 p.env, protocol::make_error("internal", "backend shard " +
+                                                             std::to_string(target) +
+                                                             " is unavailable")));
       return;
     }
     const std::uint64_t seq = next_wire_id.fetch_add(1, std::memory_order_relaxed);
@@ -246,8 +196,9 @@ struct Router::Impl {
     }
     for (auto& [id, p] : orphaned) {
       backend_errors.add(1);
-      answer(p.client, protocol::render_error(
-                           p.env, make_error("internal", "backend shard connection lost")));
+      answer(p.client,
+             protocol::render_error(
+                 p.env, protocol::make_error("internal", "backend shard connection lost")));
     }
     if (!orphaned.empty()) pending_cv.notify_all();
   }
@@ -264,46 +215,16 @@ struct Router::Impl {
     return os.str();
   }
 
-  /// Handles one client request line. Returns false when the connection
-  /// must close (auth failure).
-  bool handle_line(std::string_view line, const std::shared_ptr<Conn>& conn) {
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) return true;
-    requests.add(1);
-    protocol::Request req;
-    protocol::Error err;
-    if (!protocol::parse_request(line, &req, &err)) {
-      errors_protocol.add(1);
-      answer(conn, protocol::render_error(protocol::envelope_of(req), err));
-      return true;
-    }
+  /// Acts on one client request that passed the listener's gate.
+  void handle_request(protocol::Request req, const std::shared_ptr<Conn>& conn) {
     const protocol::Envelope env = protocol::envelope_of(req);
-    if (req.type == protocol::RequestType::kHello) {
-      if (!auth_required || req.token == config.auth_token) {
-        conn->set_authed(true);
-        answer(conn, protocol::render_hello_ok(env));
-        return true;
-      }
-      rejected_auth.add(1);
-      answer(conn, protocol::render_error(
-                       env, make_error("auth", "hello token does not match; closing connection")));
-      return false;
-    }
-    if (auth_required && !conn->is_authed()) {
-      rejected_auth.add(1);
-      answer(conn,
-             protocol::render_error(
-                 env, make_error("auth",
-                                 "this listener requires a {\"type\":\"hello\",\"token\":...} "
-                                 "first; closing connection")));
-      return false;
-    }
     if (req.type == protocol::RequestType::kPing) {
       answer(conn, protocol::render_pong(env));
-      return true;
+      return;
     }
     if (req.type == protocol::RequestType::kStats) {
       answer(conn, protocol::render_stats(env, stats()));
-      return true;
+      return;
     }
     bool rejected = false;
     {
@@ -312,8 +233,9 @@ struct Router::Impl {
     }
     if (rejected) {
       answer(conn, protocol::render_error(
-                       env, make_error("draining", "router is draining; resubmit elsewhere", 50)));
-      return true;
+                       env, protocol::make_error("draining",
+                                                 "router is draining; resubmit elsewhere", 50)));
+      return;
     }
     const int target = ring.lookup(protocol::request_key(req));
     Pending p;
@@ -322,172 +244,72 @@ struct Router::Impl {
     p.req = std::move(req);
     p.redirects_left = config.max_redirects;
     forward(std::move(p), target);
-    return true;
   }
 
-  void reader_main(std::shared_ptr<Conn> conn) {
-    const bool intact =
-        for_each_line(conn->read_fd(), config.max_line_bytes,
-                      [&](std::string_view line) { return handle_line(line, conn); });
-    if (!intact) {
-      errors_protocol.add(1);
-      conn->write_line(protocol::render_error(
-          protocol::Envelope{}, make_error("oversized",
-                         "request line exceeds " + std::to_string(config.max_line_bytes) +
-                             " bytes; closing connection")));
+  /// Connects every backend and, on TCP backends when a token is set,
+  /// runs the hello synchronously so auth failures surface at start()
+  /// instead of as hung requests. Then starts one reader per backend.
+  bool connect_backends(std::string* error) {
+    if (config.backends.empty()) {
+      if (error) *error = "router needs at least one backend shard";
+      return false;
     }
-    conn->close_fd();
-  }
-
-  void accept_loop() {
-    for (;;) {
-      pollfd fds[2] = {{listen_fd, POLLIN, 0}, {pipe_r, POLLIN, 0}};
-      const int rc = ::poll(fds, 2, -1);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        util::log_error(std::string("opm_router: poll failed: ") + std::strerror(errno));
-        return;
-      }
-      if (fds[1].revents != 0) return;  // drain requested
-      if ((fds[0].revents & POLLIN) == 0) continue;
-      const int cfd = ::accept(listen_fd, nullptr, nullptr);
-      if (cfd < 0) continue;
-      auto conn = std::make_shared<Conn>();
-      conn->init(cfd, /*socket=*/true, /*owns=*/true);
-      util::MutexLock lock(conns_mutex);
-      conns.push_back(conn);
-      readers.emplace_back([this, conn] { reader_main(conn); });
-    }
-  }
-
-  /// Connects one backend and, for TCP backends with a configured token,
-  /// runs the hello handshake synchronously so auth failures surface at
-  /// start() instead of as hung requests.
-  bool connect_backend(std::size_t shard, std::string* error) {
-    util::SocketAddress addr;
-    if (!util::parse_address(config.backends[shard], &addr, error)) return false;
-    const int fd = util::connect_to(addr, error);
-    if (fd < 0) return false;
-    auto conn = std::make_shared<Conn>();
-    conn->init(fd, /*socket=*/true, /*owns=*/true);
-    if (addr.kind == util::SocketAddress::Kind::kTcp && !config.backend_token.empty()) {
-      protocol::Request hello;
-      hello.type = protocol::RequestType::kHello;
-      hello.version = 2;
-      hello.id = "hello";
-      hello.token = config.backend_token;
-      conn->write_line(protocol::render_request(hello));
-      std::string reply;
-      protocol::ResponseView view;
-      if (!read_line_blocking(fd, &reply) || !protocol::parse_response(reply, &view) ||
-          !view.ok) {
+    for (const std::string& address : config.backends) {
+      LineClient client;
+      if (!client.connect(address, error)) return false;
+      util::SocketAddress addr;
+      util::parse_address(address, &addr);
+      if (addr.kind == util::SocketAddress::Kind::kTcp && !config.auth_token.empty() &&
+          !client.hello(config.auth_token)) {
         if (error) *error = "backend " + addr.to_string() + " rejected the hello handshake";
-        conn->close_fd();
         return false;
       }
+      auto conn = std::make_shared<Conn>();
+      conn->init(client.release(), /*socket=*/true, /*owns=*/true);
+      backends.push_back(std::move(conn));
     }
-    backends[shard] = std::move(conn);
+    for (std::size_t i = 0; i < backends.size(); ++i)
+      backend_readers.emplace_back([this, i] { backend_reader_main(static_cast<int>(i)); });
     return true;
   }
+
+  /// One persistent connection + reader per backend shard.
+  std::vector<std::shared_ptr<Conn>> backends;
+  std::vector<std::thread> backend_readers;
+  Listener listener;  // last: its reader threads call into the members above
 };
 
 Router::Router(const RouterConfig& config) : impl_(new Impl(config)) {}
 
 Router::~Router() {
-  if (impl_->started && !impl_->waited) {
-    request_drain();
-    wait();
-  }
-  if (impl_->pipe_r >= 0) ::close(impl_->pipe_r);
-  if (impl_->pipe_w >= 0) ::close(impl_->pipe_w);
+  request_drain();
+  wait();
   delete impl_;
 }
 
 bool Router::start(std::string* error) {
-  ::signal(SIGPIPE, SIG_IGN);
-  if (!impl_->listen_parse_error.empty()) {
-    if (error) *error = impl_->listen_parse_error;
-    return false;
-  }
-  if (impl_->config.backends.empty()) {
-    if (error) *error = "router needs at least one backend shard";
-    return false;
-  }
-  int p[2];
-  if (::pipe(p) != 0) {
-    if (error) *error = std::string("pipe: ") + std::strerror(errno);
-    return false;
-  }
-  impl_->pipe_r = p[0];
-  impl_->pipe_w = p[1];
-
-  impl_->backends.resize(impl_->config.backends.size());
-  for (std::size_t i = 0; i < impl_->config.backends.size(); ++i) {
-    if (!impl_->connect_backend(i, error)) return false;
-  }
-  for (std::size_t i = 0; i < impl_->backends.size(); ++i) {
-    impl_->backend_readers.emplace_back(
-        [this, i] { impl_->backend_reader_main(static_cast<int>(i)); });
-  }
-
-  impl_->listen_fd = util::listen_on(impl_->listen, error);
-  if (impl_->listen_fd < 0) return false;
-  if (impl_->listen.kind == util::SocketAddress::Kind::kTcp) {
-    impl_->listen_port = util::bound_port(impl_->listen_fd);
-    impl_->auth_required = !impl_->config.auth_token.empty();
-  }
-  impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
-  impl_->started = true;
-  return true;
-}
-
-int Router::bound_port() const { return impl_->listen_port; }
-
-int Router::drain_fd() const { return impl_->pipe_w; }
-
-void Router::request_drain() {
-  const char byte = 'd';
-  if (impl_->pipe_w >= 0) {
-    ssize_t rc;
-    do {
-      rc = ::write(impl_->pipe_w, &byte, 1);
-    } while (rc < 0 && errno == EINTR);
-  }
+  // Backends first, so no client ever reaches a router without its shards.
+  return impl_->connect_backends(error) && impl_->listener.start(error);
 }
 
 void Router::wait() {
-  if (!impl_->started || impl_->waited) return;
-  impl_->waited = true;
-  // 1. Stop accepting new connections and new forwards.
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
-  ::close(impl_->listen_fd);
-  impl_->listen_fd = -1;
-  if (impl_->listen.kind == util::SocketAddress::Kind::kUnix)
-    ::unlink(impl_->listen.path.c_str());
-  // 2. Let every already-forwarded request come back. New sweep requests
-  //    from still-open clients are rejected as "draining".
-  {
+  impl_->listener.wait([this] {
+    // Every already-forwarded request comes back. New sweep requests from
+    // still-open clients are rejected as "draining".
     util::MutexLock lock(impl_->pending_mutex);
     impl_->draining = true;
     while (!impl_->pending.empty()) impl_->pending_cv.wait(impl_->pending_mutex);
-  }
-  // 3. Tear down client connections, then backend connections.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> readers;
-  {
-    util::MutexLock lock(impl_->conns_mutex);
-    conns.swap(impl_->conns);
-    readers.swap(impl_->readers);
-  }
-  for (const auto& conn : conns) conn->request_close();
-  for (auto& t : readers) t.join();
+  });
+  // Client connections are closed; the backends go last. A backend that
+  // connected but never got a reader (start() failed) is closed here too.
   for (const auto& backend : impl_->backends) backend->request_close();
   for (auto& t : impl_->backend_readers) t.join();
   impl_->backend_readers.clear();
+  for (const auto& backend : impl_->backends) backend->close_fd();
 }
 
 std::string Router::stats_json() const { return impl_->stats(); }
 
-const HashRing& Router::ring() const { return impl_->ring; }
+Listener& Router::listener() const { return impl_->listener; }
 
 }  // namespace opm::serve

@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/listener.hpp"
 #include "util/fingerprint.hpp"
-#include "util/socket.hpp"
 
 /// The sharding front end of the serve tier.
 ///
@@ -35,7 +35,8 @@
 /// Control plane: ping and stats are answered by the router itself —
 /// stats reports the router's own counters ("router." prefix), not an
 /// aggregate over shards, so observability works even with every backend
-/// down. hello gates TCP listeners exactly like the server.
+/// down. hello gates TCP listeners exactly like the server: both sit on
+/// one serve::Listener (serve/listener.hpp).
 namespace opm::serve {
 
 /// Deterministic consistent-hash ring: `vnodes` virtual points per shard,
@@ -70,43 +71,32 @@ struct RouterConfig {
   /// hints from shards with a wider view still resolve, because the hint
   /// indexes the backend list.
   int ring_shards = 0;
-  std::string auth_token;  ///< gates the router's own TCP listener
-  /// Forwarded to TCP backends as a hello before any request.
-  std::string backend_token;
+  /// Gates the router's own TCP listener, and is presented to TCP
+  /// backends as their hello before any request.
+  std::string auth_token;
   /// Client request-line limit. Backend response lines are bounded by
   /// protocol::kMaxResponseLineBytes instead.
   std::size_t max_line_bytes = 256 * 1024;
   int max_redirects = 1;  ///< redirect hops to follow per request
 };
 
-class Router {
+class Router : public Frontend {
  public:
   explicit Router(const RouterConfig& config);
-  ~Router();
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
+  ~Router() override;
 
-  /// Connects to every backend, binds the listener, starts the accept
-  /// loop. False + *error if any backend is unreachable or the bind
-  /// fails.
-  bool start(std::string* error = nullptr);
-
-  /// The port a TCP listener actually bound ("HOST:0" binds), or -1.
-  int bound_port() const;
-
-  /// Write end of the self-pipe (async-signal-safe drain request).
-  int drain_fd() const;
-  void request_drain();
-
-  /// Blocks until a drain is requested, then: stop accepting, wait for
-  /// every forwarded request to be answered, close backend connections,
-  /// join all threads.
-  void wait();
+  /// Connects every backend (with the hello on TCP backends when a token
+  /// is set), then binds. Fails if a backend is unreachable or refuses.
+  bool start(std::string* error = nullptr) override;
+  /// The drain: forwarded requests come back before client connections
+  /// close; backend connections close last.
+  void wait() override;
 
   /// {"pending":N,"router":{...}} — the router's own counters.
   std::string stats_json() const;
 
-  const HashRing& ring() const;
+ protected:
+  Listener& listener() const override;
 
  private:
   struct Impl;

@@ -4,40 +4,15 @@
 #include <string>
 
 #include "serve/dispatcher.hpp"
+#include "serve/listener.hpp"
 
-/// Transport layer of the sweep service: a Unix-domain or TCP listener
-/// with newline framing, plus a single-stream mode (serve_stream) that
-/// drives the same line-handling path over any pair of file descriptors —
-/// that is what `opm_serve --stdio` and the pipe-based tests use.
-///
-/// Framing and fault policy per connection:
-///   * one request per '\n'-terminated line; blank lines are ignored;
-///   * a line longer than max_line_bytes gets an "oversized" error and the
-///     connection is closed (framing is lost, resync is not possible);
-///   * malformed JSON / invalid requests get structured errors and the
-///     connection stays open — framing is intact;
-///   * a client that disconnects mid-request is fine: its pending
-///     responses are dropped on the floor, never written to a dead fd.
-///
-/// TCP listeners ("HOST:PORT" in listen_address) add two policies the
-/// local Unix socket never needed:
-///   * shared-secret auth: when auth_token is non-empty, the first
-///     request on every TCP connection must be
-///     {"type":"hello","token":"<secret>"} — anything else (or a wrong
-///     token) gets an "auth" error and the connection is closed. Unix and
-///     --stdio streams are local trust and skip the check (hello still
-///     answers, so clients can probe either transport uniformly).
-///   * per-peer client identity: connections from the same IPv4 address
-///     share one dispatcher client id, so per-client quotas and fairness
-///     apply to the peer, not to each of its sockets.
-///
-/// Graceful drain (SIGTERM path): the signal handler writes one byte to
-/// drain_fd() (async-signal-safe). wait() then unblocks and runs the
-/// sequence — stop accepting, unlink the socket, drain the dispatcher
-/// (queued + in-flight finish; new submits are rejected as "draining"),
-/// close connections, join every thread, return. The process exits 0 with
-/// no orphaned socket file. The result cache's disk tier is write-through,
-/// so no separate flush step exists or is needed.
+/// The sweep service's front end: a serve::Listener (serve/listener.hpp:
+/// framing, the auth gate, the drain) in front of one Dispatcher. The
+/// server adds batches (a JSON-array line, each element answered on its
+/// own line) and serve_stream, the same line path over any pair of fds
+/// (`opm_serve --stdio`, the pipe tests). Its drain finishes admitted
+/// work with Dispatcher::drain(); the result cache's disk tier is
+/// write-through, so no flush step exists or is needed.
 namespace opm::serve {
 
 struct ServerConfig {
@@ -49,34 +24,13 @@ struct ServerConfig {
   DispatchConfig dispatch;
 };
 
-class Server {
+class Server : public Frontend {
  public:
   explicit Server(const ServerConfig& config);
-  ~Server();
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
+  ~Server() override;
 
-  /// Binds the listener (unlinking any stale unix file), starts the
-  /// accept loop. False + *error on failure (path too long, bind
-  /// refused, ...).
-  bool start(std::string* error = nullptr);
-
-  /// The port a TCP listener actually bound (for "HOST:0" ephemeral
-  /// binds), or -1 for unix listeners / before start().
-  int bound_port() const;
-
-  /// Write end of the self-pipe: write any byte to request a drain.
-  /// Async-signal-safe by construction — this is what the SIGTERM handler
-  /// uses.
-  int drain_fd() const;
-
-  /// Programmatic equivalent of the signal: nudges the accept loop to
-  /// begin the drain sequence.
-  void request_drain();
-
-  /// Blocks until a drain is requested, then runs the full drain sequence
-  /// and returns. Call once, from the thread that called start().
-  void wait();
+  bool start(std::string* error = nullptr) override;
+  void wait() override;
 
   /// Serves one already-open stream: reads request lines from in_fd until
   /// EOF, writes response lines to out_fd, then drains the dispatcher so
@@ -85,8 +39,8 @@ class Server {
   /// auth gate.
   void serve_stream(int in_fd, int out_fd);
 
-  const ServerConfig& config() const;
-  Dispatcher& dispatcher();
+ protected:
+  Listener& listener() const override;
 
  private:
   struct Impl;

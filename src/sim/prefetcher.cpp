@@ -77,12 +77,6 @@ void StridePrefetcher::touch(std::uint32_t s, bool was_free) {
   if (oldest_ == kNone) oldest_ = s;
 }
 
-std::vector<std::uint64_t> StridePrefetcher::observe(std::uint64_t line_addr) {
-  std::vector<std::uint64_t> out(depth_);
-  out.resize(observe_into(line_addr, out.data()));
-  return out;
-}
-
 void StridePrefetcher::reset() {
   std::fill(last_line_.begin(), last_line_.end(), 0);
   std::fill(stride_.begin(), stride_.end(), simd::kFreeStride);

@@ -33,10 +33,6 @@ class StridePrefetcher {
   /// many were written. This is the hot-path entry: no allocation.
   std::size_t observe_into(std::uint64_t line_addr, std::uint64_t* out);
 
-  /// Allocating convenience wrapper around observe_into() (tests and the
-  /// reference simulation path; the flat hot path never calls it).
-  std::vector<std::uint64_t> observe(std::uint64_t line_addr);
-
   /// Upper bound on the targets one observe can issue.
   std::size_t depth() const { return depth_; }
   /// Number of prefetches issued so far.

@@ -25,6 +25,12 @@ Cli::Cli(int argc, const char* const* argv) {
 
 bool Cli::has(const std::string& name) const { return options_.count(name) != 0; }
 
+std::vector<std::string> Cli::names() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : options_) out.push_back(name);
+  return out;
+}
+
 std::string Cli::get(const std::string& name, const std::string& fallback) const {
   const auto it = options_.find(name);
   return it == options_.end() ? fallback : it->second;

@@ -26,6 +26,8 @@ class Cli {
   double get_double(const std::string& name, double fallback) const;
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
+  /// Names of the `--name` options present, sorted.
+  std::vector<std::string> names() const;
 
  private:
   std::map<std::string, std::string> options_;

@@ -5,13 +5,8 @@
 // framing over a live socket, and dispatcher integration — coalescing and
 // payload-cache identity for served advise requests, plus config
 // hot-reload of the verify switch.
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -23,6 +18,7 @@
 #include "core/result_cache.hpp"
 #include "core/roofline.hpp"
 #include "core/sweep.hpp"
+#include "serve/client.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -433,67 +429,9 @@ TEST_F(AdviseServeTest, ConfigRequestHotReloadsTheVerifySwitch) {
 
 // --------------------------------------------------------- batch framing --
 
-/// Minimal blocking unix-socket client with a poll() timeout (mirrors
-/// test_serve.cpp) so a server bug can never hang the suite.
-struct BatchClient {
-  int fd = -1;
-  std::string buf;
-
-  ~BatchClient() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) return false;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-
-  bool send_line(std::string line) {
-    line.push_back('\n');
-    const char* p = line.data();
-    std::size_t left = line.size();
-    while (left > 0) {
-      const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  bool recv_line(std::string* out, int timeout_ms = 30000) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-      const std::size_t pos = buf.find('\n');
-      if (pos != std::string::npos) {
-        out->assign(buf, 0, pos);
-        buf.erase(0, pos + 1);
-        return true;
-      }
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) return false;
-      pollfd pfd{fd, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
-      if (rc < 0 && errno == EINTR) continue;
-      if (rc <= 0) return false;
-      char chunk[4096];
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-};
+/// Every receive here is bounded: a server bug fails the test instead of
+/// hanging the suite.
+constexpr int kTimeoutMs = 30000;
 
 TEST_F(AdviseServeTest, ServerAnswersBatchesPerElement) {
   const std::string path = "test-advise-batch-" + std::to_string(::getpid()) + ".sock";
@@ -503,8 +441,8 @@ TEST_F(AdviseServeTest, ServerAnswersBatchesPerElement) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  BatchClient client;
-  ASSERT_TRUE(client.connect_to(path));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(path));
 
   // A well-formed batch: one response per element, every req_id echoed.
   ASSERT_TRUE(client.send_line(

@@ -31,10 +31,10 @@ using util::MiB;
 
 TEST(Prefetcher, DetectsSequentialStream) {
   sim::StridePrefetcher pf(4, 2);
-  EXPECT_TRUE(pf.observe(0).empty());    // allocate
-  EXPECT_TRUE(pf.observe(64).empty());   // train (stride = +1 line)
-  const auto out = pf.observe(128);      // established: prefetch ahead
-  ASSERT_EQ(out.size(), 2u);
+  std::uint64_t out[2];
+  EXPECT_EQ(pf.observe_into(0, out), 0u);    // allocate
+  EXPECT_EQ(pf.observe_into(64, out), 0u);   // train (stride = +1 line)
+  ASSERT_EQ(pf.observe_into(128, out), 2u);  // established: prefetch ahead
   EXPECT_EQ(out[0], 192u);
   EXPECT_EQ(out[1], 256u);
   EXPECT_EQ(pf.stream_hits(), 1u);
@@ -42,10 +42,10 @@ TEST(Prefetcher, DetectsSequentialStream) {
 
 TEST(Prefetcher, DetectsDescendingStream) {
   sim::StridePrefetcher pf(4, 1);
-  pf.observe(64 * 100);
-  pf.observe(64 * 99);
-  const auto out = pf.observe(64 * 98);
-  ASSERT_EQ(out.size(), 1u);
+  std::uint64_t out[1];
+  pf.observe_into(64 * 100, out);
+  pf.observe_into(64 * 99, out);
+  ASSERT_EQ(pf.observe_into(64 * 98, out), 1u);
   EXPECT_EQ(out[0], 64u * 97);
 }
 
@@ -53,8 +53,9 @@ TEST(Prefetcher, IgnoresRandomAccesses) {
   sim::StridePrefetcher pf(8, 4);
   util::Xoshiro256 rng(1);
   std::uint64_t issued = 0;
+  std::uint64_t out[4];
   for (int i = 0; i < 2000; ++i) {
-    issued += pf.observe(rng.bounded(1 << 20) * 64).size();
+    issued += pf.observe_into(rng.bounded(1 << 20) * 64, out);
   }
   // Accidental stride matches are possible but must stay rare.
   EXPECT_LT(issued, 100u);
@@ -64,21 +65,23 @@ TEST(Prefetcher, TracksMultipleStreams) {
   sim::StridePrefetcher pf(4, 1);
   // Two interleaved sequential streams at distant bases.
   std::uint64_t hits_before = pf.stream_hits();
+  std::uint64_t out[1];
   for (std::uint64_t i = 0; i < 8; ++i) {
-    pf.observe(i * 64);
-    pf.observe((1 << 20) + i * 64);
+    pf.observe_into(i * 64, out);
+    pf.observe_into((1 << 20) + i * 64, out);
   }
   EXPECT_GE(pf.stream_hits() - hits_before, 10u);  // both streams locked on
 }
 
 TEST(Prefetcher, ResetClearsState) {
   sim::StridePrefetcher pf(4, 2);
-  pf.observe(0);
-  pf.observe(64);
-  pf.observe(128);
+  std::uint64_t out[2];
+  pf.observe_into(0, out);
+  pf.observe_into(64, out);
+  pf.observe_into(128, out);
   pf.reset();
   EXPECT_EQ(pf.issued(), 0u);
-  EXPECT_TRUE(pf.observe(192).empty());  // must retrain
+  EXPECT_EQ(pf.observe_into(192, out), 0u);  // must retrain
 }
 
 // ------------------------------------------------- prefetcher stream match --
@@ -194,11 +197,12 @@ TEST(PrefetcherStreamMatch, FreeSlotTiesTakeTheLastFreeSlot) {
   // A fresh table: every lookup that matches nothing allocates the LAST
   // free slot, so the table fills from the end.
   sim::StridePrefetcher pf(6, 2);
+  std::uint64_t out[2];
   for (std::uint32_t k = 0; k < 6; ++k) {
     const auto m = sim::simd::match_stream(pf.table(), 1000 * (k + 1));
     EXPECT_FALSE(m.matched);
     EXPECT_EQ(m.slot, 5u - k);
-    pf.observe(1000 * 64 * (k + 1));
+    pf.observe_into(1000 * 64 * (k + 1), out);
   }
   // Full: the least recently used stream (the first one allocated) goes.
   const auto m = sim::simd::match_stream(pf.table(), 99999);
@@ -212,14 +216,18 @@ TEST(PrefetcherStreamMatch, PrefetcherMatchesLegacyTableScan) {
       for (const std::uint64_t seed : {7u, 8u}) {
         sim::StridePrefetcher pf(streams, depth);
         LegacyPrefetcher legacy(streams, depth);
+        std::uint64_t out[8];
+        auto observe = [&](std::uint64_t line_addr) {
+          return std::vector<std::uint64_t>(out, out + pf.observe_into(line_addr, out));
+        };
         for (const std::uint64_t line : seeded_lines(seed, 3000))
-          ASSERT_EQ(pf.observe(line << 6), legacy.observe(line << 6))
+          ASSERT_EQ(observe(line << 6), legacy.observe(line << 6))
               << streams << " streams, depth " << depth << ", seed " << seed;
         EXPECT_EQ(pf.stream_hits(), legacy.stream_hits());
         pf.reset();
         LegacyPrefetcher fresh(streams, depth);
         for (const std::uint64_t line : seeded_lines(seed + 100, 1000))
-          ASSERT_EQ(pf.observe(line << 6), fresh.observe(line << 6)) << "after reset";
+          ASSERT_EQ(observe(line << 6), fresh.observe(line << 6)) << "after reset";
       }
     }
   }

@@ -227,8 +227,9 @@ TEST(Sptrsv, DependenciesRespectLevels) {
     for (sparse::offset_t k = l.row_ptr[static_cast<std::size_t>(r)];
          k < l.row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
       const sparse::index_t c = l.col_idx[static_cast<std::size_t>(k)];
-      if (c < r)
+      if (c < r) {
         EXPECT_LT(level_of[static_cast<std::size_t>(c)], level_of[static_cast<std::size_t>(r)]);
+      }
     }
 }
 

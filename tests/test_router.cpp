@@ -5,13 +5,10 @@
 // and the router end to end over unix sockets — correct-shard routing,
 // v1 clients through a v2 mesh, stale ring views healed by redirects, and
 // a multi-shard drain that answers everything admitted.
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,8 +22,9 @@
 
 #include "core/result_cache.hpp"
 #include "core/sweep.hpp"
-#include "serve/conn.hpp"
+#include "serve/client.hpp"
 #include "serve/dispatcher.hpp"
+#include "serve/listener.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -34,7 +32,6 @@
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
-#include "util/socket.hpp"
 
 namespace {
 
@@ -354,68 +351,28 @@ TEST_F(RouterTest, DispatcherEnforcesPerClientQuota) {
 
 // --------------------------------------------------------- router end to end --
 
-/// Line-framed test client over any serve-tier address.
-struct TestClient {
-  int fd = -1;
-  std::string buf;
-
-  bool connect_addr(const std::string& address) {
-    util::SocketAddress addr;
-    std::string error;
-    if (!util::parse_address(address, &addr, &error)) return false;
-    fd = util::connect_to(addr, &error);
-    return fd >= 0;
-  }
-
-  bool send_line(std::string line) {
-    line.push_back('\n');
-    return util::send_all(fd, line);
-  }
-
-  bool recv_line(std::string* out, int timeout_ms = 30000) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-      const std::size_t pos = buf.find('\n');
-      if (pos != std::string::npos) {
-        out->assign(buf, 0, pos);
-        buf.erase(0, pos + 1);
-        return true;
-      }
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) return false;
-      pollfd pfd{fd, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
-      if (rc < 0 && errno == EINTR) continue;
-      if (rc <= 0) return false;
-      char chunk[4096];
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  ~TestClient() {
-    if (fd >= 0) ::close(fd);
-  }
-};
+/// Every receive in these tests is bounded: a server bug fails the test
+/// instead of hanging the suite.
+constexpr int kTimeoutMs = 30000;
 
 /// A router fronting `nshards` in-process shard servers on unix sockets.
 /// `ring_shards` < nshards models a router whose ring view lags the
-/// backend pool (scale-out).
+/// backend pool (scale-out). With a `token`, shards and router listen on
+/// loopback TCP gated by it instead, the way scripts/ci.sh runs them.
 struct Mesh {
   std::vector<std::unique_ptr<serve::Server>> servers;
   std::unique_ptr<serve::Router> router;
   std::string address;
+  std::vector<std::string> backends;
 
-  bool start(const char* tag, int nshards, int ring_shards = 0) {
+  bool start(const char* tag, int nshards, int ring_shards = 0, const std::string& token = "") {
     serve::RouterConfig rc;
     for (int s = 0; s < nshards; ++s) {
       serve::ServerConfig sc;
       sc.listen_address = std::string("unix:test-router-") + tag + "-s" + std::to_string(s) +
                           "-" + std::to_string(::getpid()) + ".sock";
+      if (!token.empty()) sc.listen_address = "127.0.0.1:0";
+      sc.auth_token = token;
       sc.dispatch.workers = 1;
       sc.dispatch.shard_id = s;
       sc.dispatch.shard_count = nshards;
@@ -425,18 +382,21 @@ struct Mesh {
         ADD_FAILURE() << "shard " << s << ": " << error;
         return false;
       }
-      rc.backends.push_back(sc.listen_address);
+      rc.backends.push_back(servers.back()->where());
     }
     address = std::string("unix:test-router-") + tag + "-" + std::to_string(::getpid()) +
               ".sock";
-    rc.listen_address = address;
+    rc.listen_address = token.empty() ? address : "127.0.0.1:0";
+    rc.auth_token = token;
     rc.ring_shards = ring_shards;
+    backends = rc.backends;
     router = std::make_unique<serve::Router>(rc);
     std::string error;
     if (!router->start(&error)) {
       ADD_FAILURE() << "router: " << error;
       return false;
     }
+    address = router->where();
     return true;
   }
 
@@ -455,8 +415,8 @@ struct Mesh {
 TEST_F(RouterTest, RoutesToOwningShardAndServesOfflineIdenticalBytes) {
   Mesh mesh;
   ASSERT_TRUE(mesh.start("e2e", 2));
-  TestClient client;
-  ASSERT_TRUE(client.connect_addr(mesh.address));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(mesh.address));
 
   const HashRing ring(2);
   for (int owner = 0; owner < 2; ++owner) {
@@ -494,8 +454,8 @@ TEST_F(RouterTest, RoutesToOwningShardAndServesOfflineIdenticalBytes) {
 TEST_F(RouterTest, V1ClientThroughTheRouterSeesPreV2Bytes) {
   Mesh mesh;
   ASSERT_TRUE(mesh.start("v1", 2));
-  TestClient client;
-  ASSERT_TRUE(client.connect_addr(mesh.address));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(mesh.address));
 
   const std::string body = request_owned_by(1, 2);
   ASSERT_TRUE(client.send_line("{\"id\":\"legacy\"," + body.substr(1)));
@@ -514,8 +474,8 @@ TEST_F(RouterTest, StaleRingViewIsHealedByRedirect) {
   // answers "redirect"; the router follows the hint transparently.
   Mesh mesh;
   ASSERT_TRUE(mesh.start("stale", 2, /*ring_shards=*/1));
-  TestClient client;
-  ASSERT_TRUE(client.connect_addr(mesh.address));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(mesh.address));
 
   const std::string body = request_owned_by(1, 2);
   ASSERT_TRUE(client.send_line("{\"v\":2,\"req_id\":\"sr\"," + body.substr(1)));
@@ -547,8 +507,8 @@ TEST_F(RouterTest, MultiShardDrainAnswersEverythingAdmitted) {
   std::vector<std::thread> threads;  // opm-lint: allow(thread-ownership) — test clients model independent processes
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      TestClient client;
-      if (!client.connect_addr(mesh.address)) return;
+      serve::LineClient client(kTimeoutMs);
+      if (!client.connect(mesh.address)) return;
       for (int i = 0; i < kRequests; ++i) {
         const std::string id = "d" + std::to_string(c) + "-" + std::to_string(i);
         if (!client.send_line("{\"v\":2,\"req_id\":\"" + id + "\"," +
@@ -575,9 +535,10 @@ TEST_F(RouterTest, MultiShardDrainAnswersEverythingAdmitted) {
   for (const auto& line : responses) {
     protocol::ResponseView view;
     ASSERT_TRUE(protocol::parse_response(line, &view)) << line;
-    if (!view.ok)
+    if (!view.ok) {
       EXPECT_TRUE(view.error.category == "draining" || view.error.category == "internal")
           << line;
+    }
   }
 }
 
@@ -589,8 +550,8 @@ TEST_F(RouterTest, RelaysResponsesLongerThanTheClientLineLimit) {
   ASSERT_EQ(serve::RouterConfig{}.max_line_bytes, 256u * 1024u);
   Mesh mesh;
   ASSERT_TRUE(mesh.start("big", 1));
-  TestClient client;
-  ASSERT_TRUE(client.connect_addr(mesh.address));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(mesh.address));
 
   const std::string big =
       R"({"v":2,"req_id":"big","type":"dense","platform":"knl-flat","kernel":"gemm",)"
@@ -610,6 +571,62 @@ TEST_F(RouterTest, RelaysResponsesLongerThanTheClientLineLimit) {
       EXPECT_GT(line.size(), 256u * 1024u);
     }
   }
+  mesh.stop();
+}
+
+// ------------------------------------------------------------ router auth --
+
+TEST_F(RouterTest, OneTokenGatesTheRouterAndIsItsHelloToTheShards) {
+  Mesh mesh;
+  ASSERT_TRUE(mesh.start("auth", 2, 0, "sekrit"));
+  util::Counter& rejected_auth = util::MetricsRegistry::instance().counter("router.rejected_auth");
+  const std::uint64_t rejected_before = rejected_auth.value();
+
+  // A request before hello, then a wrong token: each gets one "auth" error
+  // and a hangup, and each is counted.
+  for (const char* first : {R"({"v":2,"req_id":"sneak","type":"ping"})",
+                            R"({"v":2,"req_id":"h","type":"hello","token":"wrong"})"}) {
+    serve::LineClient client(kTimeoutMs);
+    ASSERT_TRUE(client.connect(mesh.address));
+    ASSERT_TRUE(client.send_line(first));
+    std::string line, extra;
+    ASSERT_TRUE(client.recv_line(&line));
+    protocol::ResponseView view;
+    ASSERT_TRUE(protocol::parse_response(line, &view)) << line;
+    EXPECT_FALSE(view.ok) << line;
+    EXPECT_EQ(view.error.category, "auth") << line;
+    EXPECT_FALSE(client.recv_line(&extra)) << extra;
+    EXPECT_TRUE(client.wait_eof());
+  }
+  EXPECT_EQ(rejected_auth.value() - rejected_before, 2u);
+
+  // The right token unlocks routed sweeps from both shards, which took the
+  // router's own hello: payloads byte-identical to offline.
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(mesh.address));
+  ASSERT_TRUE(client.hello("sekrit"));
+  for (int owner = 0; owner < 2; ++owner) {
+    const std::string body = request_owned_by(owner, 2);
+    ASSERT_TRUE(client.send_line(R"({"v":2,"req_id":"q",)" + body.substr(1)));
+    std::string line;
+    ASSERT_TRUE(client.recv_line(&line));
+    protocol::ResponseView view;
+    ASSERT_TRUE(protocol::parse_response(line, &view)) << line;
+    EXPECT_TRUE(view.ok) << line;
+    EXPECT_EQ(view.shard, owner);
+    EXPECT_EQ(view.payload, protocol::execute(parse_ok(body)));
+  }
+
+  // A router presenting a token the shards do not take fails start(),
+  // naming the rejected hello.
+  serve::RouterConfig rc;
+  rc.listen_address = "unix:test-router-rogue-" + std::to_string(::getpid()) + ".sock";
+  rc.backends = mesh.backends;
+  rc.auth_token = "wrong";
+  serve::Router rogue(rc);
+  std::string error;
+  EXPECT_FALSE(rogue.start(&error));
+  EXPECT_NE(error.find("rejected the hello handshake"), std::string::npos) << error;
   mesh.stop();
 }
 
@@ -720,51 +737,26 @@ TEST(RouterSplice, HeadParserAcceptsOnlyLinesItRelaysExactly) {
   }
 }
 
-/// A scripted backend shard on a unix socket: it accepts the router's
-/// connection and answers each forwarded request with the lines `reply`
-/// gives for its wire id.
+/// A scripted backend shard on a unix socket: it answers each forwarded
+/// request with the lines `reply` gives for its wire id.
 class FakeShard {
  public:
   FakeShard(std::string path, std::function<std::vector<std::string>(const std::string&)> reply)
-      : path_(std::move(path)), reply_(std::move(reply)) {}
-  FakeShard(const FakeShard&) = delete;
-  FakeShard& operator=(const FakeShard&) = delete;
+      : listener_(serve::ListenerConfig{.address = "unix:" + path, .name = "fake-shard",
+                                        .auth_token = ""},
+                  [reply = std::move(reply)](Request req, const serve::Session& session) {
+                    for (const std::string& out : reply(req.id)) session.conn->write_line(out);
+                  }) {}
   ~FakeShard() {
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept never met
-    if (thread_.joinable()) thread_.join();
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    ::unlink(path_.c_str());
+    listener_.request_drain();
+    listener_.wait(nullptr);
   }
 
-  bool start() {
-    util::SocketAddress addr;
-    addr.path = path_;
-    listen_fd_ = util::listen_on(addr);
-    if (listen_fd_ < 0) return false;
-    thread_ = std::thread([this] { serve(); });  // opm-lint: allow(thread-ownership) — the fake shard's own loop
-    return true;
-  }
-
-  std::string address() const { return "unix:" + path_; }
+  bool start() { return listener_.start(nullptr); }
+  std::string address() const { return listener_.where(); }
 
  private:
-  void serve() {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;
-    serve::for_each_line(fd, 1 << 20, [&](std::string_view line) {
-      protocol::Request req;
-      protocol::Error err;
-      if (protocol::parse_request(line, &req, &err))
-        for (const std::string& out : reply_(req.id)) util::send_line(fd, out);
-      return true;
-    });
-    ::close(fd);
-  }
-
-  std::string path_;
-  std::function<std::vector<std::string>(const std::string&)> reply_;
-  int listen_fd_ = -1;
-  std::thread thread_;  // opm-lint: allow(thread-ownership) — stands in for a shard process
+  serve::Listener listener_;
 };
 
 TEST_F(RouterTest, HostileBackendLinesRelayAsTheFullParseWouldOrNotAtAll) {
@@ -790,8 +782,8 @@ TEST_F(RouterTest, HostileBackendLinesRelayAsTheFullParseWouldOrNotAtAll) {
   serve::Router router(rc);
   std::string error;
   ASSERT_TRUE(router.start(&error)) << error;
-  TestClient client;
-  ASSERT_TRUE(client.connect_addr(rc.listen_address));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(rc.listen_address));
 
   util::Counter& backend_errors = util::MetricsRegistry::instance().counter("router.backend_errors");
   const std::string body =

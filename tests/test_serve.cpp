@@ -4,18 +4,16 @@
 // for: served payloads byte-identical to offline library output, hostile
 // input answered with structured errors (never a crash or hang), and a
 // graceful drain that answers everything admitted and unlinks the socket.
-#include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -28,6 +26,7 @@
 #include "core/result_cache.hpp"
 #include "core/single_flight.hpp"
 #include "core/sweep.hpp"
+#include "serve/client.hpp"
 #include "serve/conn.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
@@ -583,14 +582,12 @@ TEST_F(ServeTest, EscapedPayloadsAreTheEscapedReferenceByteForByte) {
       R"("n_lo":256,"n_hi":2048,"n_step":256,"nb_lo":128,"nb_hi":1024,"nb_step":128})",
       R"({"type":"sparse","platform":"broadwell-edram-on","kernel":"spmv"})",
       R"({"type":"footprint","platform":"knl-cache","kernel":"fft","points":12})",
-      R"({"v":2,"type":"advise","platform":"knl-ddr","kernel":"stream","verify":false})",
   };
   for (const char* line : lines) {
     const Request req = parse_ok(line);
     const std::string raw = serve::protocol::execute(req);
     const std::string escaped = serve::protocol::execute_escaped(req);
     EXPECT_EQ(escaped, util::json_escape(raw)) << line;
-    if (req.type == RequestType::kAdvise) continue;  // wrapped raw, with its sample note
     for (const serve::protocol::Envelope& env :
          {serve::protocol::Envelope{1, "e1", 0}, serve::protocol::Envelope{2, "e2", 3}})
       EXPECT_EQ(serve::protocol::render_escaped_response(env, req.type, escaped),
@@ -710,80 +707,9 @@ TEST(Framing, PartialLastLineAtEofIsDropped) {
 
 // ------------------------------------------------------------------ server --
 
-/// Minimal blocking client with a poll() timeout so a server bug can
-/// never hang the suite.
-struct TestClient {
-  int fd = -1;
-  std::string buf;
-
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) return false;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-
-  bool send_line(std::string line) {
-    line.push_back('\n');
-    const char* p = line.data();
-    std::size_t left = line.size();
-    while (left > 0) {
-      const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  bool recv_line(std::string* out, int timeout_ms = 30000) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-      const std::size_t pos = buf.find('\n');
-      if (pos != std::string::npos) {
-        out->assign(buf, 0, pos);
-        buf.erase(0, pos + 1);
-        return true;
-      }
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) return false;
-      pollfd pfd{fd, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
-      if (rc < 0 && errno == EINTR) continue;
-      if (rc <= 0) return false;
-      char chunk[4096];
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;  // EOF / error
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// True once the server closes its side (EOF), within the timeout.
-  bool wait_eof(int timeout_ms = 30000) {
-    std::string line;
-    while (recv_line(&line, timeout_ms)) {
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
-    char c;
-    return ::read(fd, &c, 1) == 0;
-  }
-
-  void close_conn() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-  ~TestClient() { close_conn(); }
-};
+/// Every receive in these tests is bounded: a server bug fails the test
+/// instead of hanging the suite.
+constexpr int kTimeoutMs = 30000;
 
 std::string test_socket_path(const char* tag) {
   return std::string("test-serve-") + tag + "-" + std::to_string(::getpid()) + ".sock";
@@ -797,8 +723,8 @@ TEST_F(ServeTest, ServerAnswersOverUnixSocket) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  TestClient client;
-  ASSERT_TRUE(client.connect_to(path));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(path));
 
   // A sweep request, byte-identical to the offline library output.
   const std::string line =
@@ -841,7 +767,7 @@ TEST_F(ServeTest, ServerAnswersOverUnixSocket) {
   ASSERT_NE(stats->find("stats"), nullptr);
   EXPECT_GE(stats->find("stats")->find("serve")->find("serve.responses")->number, 1.0);
 
-  client.close_conn();
+  client.close();
   server.request_drain();
   server.wait();
 }
@@ -856,19 +782,11 @@ TEST_F(ServeTest, TcpListenerGatesConnectionsBehindHelloToken) {
   ASSERT_GT(server.bound_port(), 0);
   const std::string address = "127.0.0.1:" + std::to_string(server.bound_port());
 
-  auto tcp_connect = [&](TestClient* client) {
-    util::SocketAddress addr;
-    std::string perr;
-    ASSERT_TRUE(util::parse_address(address, &addr, &perr)) << perr;
-    client->fd = util::connect_to(addr, &perr);
-    ASSERT_GE(client->fd, 0) << perr;
-  };
-
   // A request before hello: structured auth error, then the server hangs
   // up (an unauthenticated peer gets exactly one line of attention).
   {
-    TestClient client;
-    tcp_connect(&client);
+    serve::LineClient client(kTimeoutMs);
+    ASSERT_TRUE(client.connect(address));
     ASSERT_TRUE(client.send_line(R"({"id":"sneak","type":"ping"})"));
     std::string response;
     ASSERT_TRUE(client.recv_line(&response));
@@ -880,8 +798,8 @@ TEST_F(ServeTest, TcpListenerGatesConnectionsBehindHelloToken) {
 
   // A wrong token is the same story.
   {
-    TestClient client;
-    tcp_connect(&client);
+    serve::LineClient client(kTimeoutMs);
+    ASSERT_TRUE(client.connect(address));
     ASSERT_TRUE(client.send_line(R"({"v":2,"req_id":"h","type":"hello","token":"wrong"})"));
     std::string response;
     ASSERT_TRUE(client.recv_line(&response));
@@ -891,8 +809,8 @@ TEST_F(ServeTest, TcpListenerGatesConnectionsBehindHelloToken) {
 
   // The right token unlocks the connection for real work.
   {
-    TestClient client;
-    tcp_connect(&client);
+    serve::LineClient client(kTimeoutMs);
+    ASSERT_TRUE(client.connect(address));
     ASSERT_TRUE(client.send_line(R"({"v":2,"req_id":"h","type":"hello","token":"sekrit"})"));
     std::string response;
     ASSERT_TRUE(client.recv_line(&response));
@@ -925,8 +843,8 @@ TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  TestClient client;
-  ASSERT_TRUE(client.connect_to(path));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(path));
   ASSERT_TRUE(client.send_line(std::string(4096, 'x')));
   std::string response;
   ASSERT_TRUE(client.recv_line(&response));
@@ -938,8 +856,8 @@ TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
   EXPECT_FALSE(client.recv_line(&extra, 5000));
 
   // The server itself is unharmed: a new connection works.
-  TestClient fresh;
-  ASSERT_TRUE(fresh.connect_to(path));
+  serve::LineClient fresh(kTimeoutMs);
+  ASSERT_TRUE(fresh.connect(path));
   ASSERT_TRUE(fresh.send_line(R"({"type":"ping"})"));
   ASSERT_TRUE(fresh.recv_line(&response));
   EXPECT_NE(response.find("\"pong\""), std::string::npos);
@@ -957,21 +875,21 @@ TEST_F(ServeTest, ServerSurvivesMidRequestDisconnect) {
   ASSERT_TRUE(server.start(&error)) << error;
 
   {
-    TestClient ghost;
-    ASSERT_TRUE(ghost.connect_to(path));
+    serve::LineClient ghost(kTimeoutMs);
+    ASSERT_TRUE(ghost.connect(path));
     ASSERT_TRUE(ghost.send_line(
         R"({"id":"ghost","type":"sparse","platform":"knl-flat","kernel":"spmv"})"));
-    ghost.close_conn();  // gone before the response could be written
+    ghost.close();  // gone before the response could be written
   }
   {
-    TestClient ghost2;  // and one that dies mid-line, without the newline
-    ASSERT_TRUE(ghost2.connect_to(path));
+    serve::LineClient ghost2(kTimeoutMs);  // and one that dies mid-line, without the newline
+    ASSERT_TRUE(ghost2.connect(path));
     ASSERT_TRUE(ghost2.send_line(R"({"id":"gho)"));
-    ghost2.close_conn();
+    ghost2.close();
   }
 
-  TestClient client;
-  ASSERT_TRUE(client.connect_to(path));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(path));
   ASSERT_TRUE(client.send_line(
       R"({"id":"ok","type":"footprint","platform":"knl-ddr","kernel":"stream","points":8})"));
   std::string response;
@@ -995,8 +913,8 @@ TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
   auto& admitted = util::MetricsRegistry::instance().counter("serve.admitted");
   const std::uint64_t admitted_before = admitted.value();
 
-  TestClient client;
-  ASSERT_TRUE(client.connect_to(path));
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(path));
   const std::string line =
       R"({"id":"w1","type":"dense","platform":"broadwell-edram-on","kernel":"gemm",)"
       R"("n_lo":256,"n_hi":2048,"n_step":256,"nb_lo":128,"nb_hi":1024,"nb_step":128})";
@@ -1024,8 +942,8 @@ TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
   // No orphaned socket file, and nobody is listening anymore.
   struct stat st{};
   EXPECT_NE(::stat(path.c_str(), &st), 0);
-  TestClient late;
-  EXPECT_FALSE(late.connect_to(path));
+  serve::LineClient late(kTimeoutMs);
+  EXPECT_FALSE(late.connect(path));
 }
 
 TEST_F(ServeTest, ConcurrentClientsCoalesceToByteIdenticalResponses) {
@@ -1055,8 +973,8 @@ TEST_F(ServeTest, ConcurrentClientsCoalesceToByteIdenticalResponses) {
   std::vector<std::thread> threads;  // opm-lint: allow(thread-ownership) — raw threads ARE the fixture
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      TestClient client;
-      if (!client.connect_to(path)) {
+      serve::LineClient client(kTimeoutMs);
+      if (!client.connect(path)) {
         fail_count.fetch_add(kPerClient);
         return;
       }
@@ -1172,6 +1090,50 @@ TEST(ServeCli, RetiredSocketFlagExitsTwoNamingItsReplacement) {
     EXPECT_EQ(WEXITSTATUS(status), 2) << command << "\n" << output;
     EXPECT_NE(output.find(c.replacement), std::string::npos) << command << "\n" << output;
   }
+}
+
+TEST(ServeCli, EachBinaryTakesItsOwnFlagsAndNothingElse) {
+  // Each serve binary checks its command line against its own flag list
+  // before it binds or dials anything: a typo such as --listne, the other
+  // binary's flag, or a stray argument exits 2 naming it. The flags
+  // opmbench's driver and scripts/ci.sh pass get through: opm_serve
+  // --stdio answers an empty stdin (exit 0), and the router gets as far
+  // as its unreachable backend (exit 1).
+  const std::string cache_dir = "serve-cli-cache-" + std::to_string(::getpid());
+  struct Case {
+    const char* binary;
+    std::string args;
+    int exit_code;
+    const char* named;  ///< what the output must name
+  };
+  for (const Case& c :
+       {Case{OPM_SERVE_BIN, "--listne=unix:typo.sock", 2, "--listne"},
+        Case{OPM_SERVE_BIN, "--shards=unix:a.sock", 2, "--shards"},
+        Case{OPM_SERVE_BIN, "typo.sock", 2, "typo.sock"},
+        Case{OPM_ROUTER_BIN, "--shards=unix:a.sock --listne=unix:typo.sock", 2, "--listne"},
+        Case{OPM_ROUTER_BIN, "--shards=unix:a.sock --stdio", 2, "--stdio"},
+        Case{OPM_SERVE_BIN,
+             "--stdio --listen=unix:unused.sock --token=t --shard-id=1 --shard-count=2"
+             " --serve-workers=1 --sweep-workers=0 --queue-depth=4096 --max-line-bytes=8388608"
+             " --cache-dir=" + cache_dir + " --cache-max-bytes=1048576 --no-sweep-stats",
+             0, ""},
+        Case{OPM_ROUTER_BIN,
+             "--listen=unix:unused-router.sock --token=t --max-line-bytes=8388608"
+             " --shards=unix:no-such-shard.sock",
+             1, "no-such-shard.sock"}}) {
+    const std::string command =
+        std::string("timeout 60 ") + c.binary + " " + c.args + " </dev/null 2>&1";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << command;
+    std::string output;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), c.exit_code) << command << "\n" << output;
+    EXPECT_NE(output.find(c.named), std::string::npos) << command << "\n" << output;
+  }
+  std::filesystem::remove_all(cache_dir);
 }
 
 }  // namespace

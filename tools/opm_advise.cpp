@@ -19,18 +19,14 @@
 // shared core::resolve_sweep_config surface, so the verification sweeps
 // here hit the same result cache as the bench harnesses.
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <string>
 
 #include "advise/advise.hpp"
 #include "core/sweep_config.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
-#include "util/socket.hpp"
 
 namespace {
 
@@ -62,47 +58,9 @@ int usage(std::FILE* to) {
   return to == stdout ? 0 : 2;
 }
 
-/// One blocking NDJSON round trip (plus optional hello) to a live server.
-struct Client {
-  int fd = -1;
-  std::string buf;
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool connect(const std::string& address, std::string* error) {
-    util::SocketAddress addr;
-    if (!util::parse_address(address, &addr, error)) return false;
-    fd = util::connect_to(addr, error);
-    return fd >= 0;
-  }
-
-  bool send_line(std::string line) {
-    line.push_back('\n');
-    return util::send_all(fd, line);
-  }
-
-  bool recv_line(std::string* line) {
-    for (;;) {
-      const std::size_t pos = buf.find('\n');
-      if (pos != std::string::npos) {
-        line->assign(buf, 0, pos);
-        buf.erase(0, pos + 1);
-        return true;
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-};
-
 int run_connected(const std::string& address, const std::string& token,
                   const protocol::Request& req) {
-  Client client;
+  serve::LineClient client;
   std::string error;
   if (!client.connect(address, &error)) {
     std::fprintf(stderr, "opm_advise: cannot connect to %s: %s\n", address.c_str(),
@@ -110,18 +68,12 @@ int run_connected(const std::string& address, const std::string& token,
     return 1;
   }
   std::string line;
-  if (!token.empty()) {
-    if (!client.send_line(R"({"v":2,"req_id":"hello","type":"hello","token":")" +
-                          util::json_escape(token) + "\"}") ||
-        !client.recv_line(&line)) {
+  if (!token.empty() && !client.hello(token, &line)) {
+    if (line.empty())
       std::fprintf(stderr, "opm_advise: hello handshake failed\n");
-      return 1;
-    }
-    protocol::ResponseView hello;
-    if (!protocol::parse_response(line, &hello) || !hello.ok) {
+    else
       std::fprintf(stderr, "opm_advise: hello rejected: %s\n", line.c_str());
-      return 1;
-    }
+    return 1;
   }
   if (!client.send_line(protocol::render_request(req)) || !client.recv_line(&line)) {
     std::fprintf(stderr, "opm_advise: server closed the connection\n");
