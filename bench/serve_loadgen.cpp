@@ -50,6 +50,9 @@
 //                 [--out=BENCH_serve.json]
 //                 [--router-bench [--rb-requests=N] [--rb-clients=N]
 //                                 [--rb-repeats=N] [--rb-out=BENCH_router.json]]
+//                 [sweep knobs: --sweep-workers, --cache-dir, ...]
+//
+// Any other flag, or a positional argument, exits 2 naming it.
 #include <unistd.h>
 
 #include <algorithm>
@@ -57,15 +60,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_config.hpp"
 #include "serve/client.hpp"
 #include "serve/options.hpp"
 #include "serve/protocol.hpp"
@@ -458,10 +464,11 @@ int router_bench(const util::Cli& cli, bool quick) {
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   const util::Cli cli(argc, argv);
-  if (const std::string retired = serve::retired_flag_error(cli, "--connect"); !retired.empty()) {
-    std::cerr << "serve_loadgen: " << retired << "\n";
-    return 2;
-  }
+  std::vector<std::string_view> flags = {
+      "quick", "router-bench", "rb-repeats", "rb-requests", "rb-clients", "rb-out", "clients",
+      "dup",   "tolerant",     "connect",    "v2",          "zipf",       "token",  "out"};
+  flags.insert(flags.end(), std::begin(core::kSweepConfigFlags), std::end(core::kSweepConfigFlags));
+  if (const int rc = serve::check_flags("serve_loadgen", cli, flags, "--connect")) return rc;
   core::SweepConfig cfg = bench::init(argc, argv);
   bench::banner("serve_loadgen", "multi-client sweep-service load and acceptance harness");
 

@@ -30,15 +30,17 @@
 # compute path the sanitizers exist to instrument.
 #
 # The cache job builds the plain tree, then runs the Table 4/5 summaries
-# twice against a scratch cache dir — once cold, once warm — with
-# telemetry muted, and diffs the outputs byte for byte. Warm results that
-# differ in any byte fail CI.
+# against a scratch cache dir — once cold, once warm with telemetry on
+# (its cache_totals line must report "misses":0, so a process exit that
+# lost write-behind records fails), once warm muted — and diffs the muted
+# outputs byte for byte. Warm results that differ in any byte fail CI.
 #
 # The serve job exercises the serve tier end to end: the self-contained
 # serve_loadgen gates (byte-identity vs offline, >= 4x request
 # deduplication, structured overload rejections), the same gates against
 # an external server over its Unix socket, a SIGTERM mid-load that must
-# drain gracefully — exit 0, no orphaned socket file — and the sharded
+# drain gracefully — exit 0, no orphaned socket file, its cache records
+# on disk and no .tmp-* scratch file left — and the sharded
 # tier: two token-gated opm_serve shards on loopback TCP behind an
 # opm_router, a zipf v2 load driven through the router (byte-identity
 # gate vs the offline library), and a SIGTERM drain of the whole mesh.
@@ -180,16 +182,25 @@ run_cache() {
   local scratch="$root/$dir/ci-cache-scratch"
   rm -rf "$scratch"
   echo "== [cache] cold vs warm byte-for-byte diff (telemetry muted)"
+  local totals
   for b in table4_edram_summary table5_mcdram_summary; do
     "$root/$dir/bench/$b" --cache-dir="$scratch" --no-sweep-stats \
         > "$root/$dir/$b.cold.out"
+    # The disk tier is write-behind: a cold process that exits before its
+    # queued records are on disk would leave this warm run misses that
+    # the byte diff below cannot see (a miss recomputes the same bytes).
+    totals="$("$root/$dir/bench/$b" --cache-dir="$scratch" | grep '"cache_totals"' || true)"
+    if ! grep -q '"misses":0,' <<< "$totals"; then
+      echo "ci: FAIL — $b warm run missed records the cold run stored: $totals" >&2
+      exit 1
+    fi
     "$root/$dir/bench/$b" --cache-dir="$scratch" --no-sweep-stats \
         > "$root/$dir/$b.warm.out"
     if ! cmp "$root/$dir/$b.cold.out" "$root/$dir/$b.warm.out"; then
       echo "ci: FAIL — $b warm output differs from cold output" >&2
       exit 1
     fi
-    echo "   $b: cold == warm"
+    echo "   $b: warm run misses 0, cold == warm"
   done
   echo "== [cache] effectiveness gate (>= 10x disk-warm speedup, bit-identical)"
   "$root/$dir/bench/cache_effectiveness" --cache-dir="$scratch"
@@ -232,7 +243,17 @@ run_serve() {
     echo "ci: FAIL — orphaned socket file left after drain" >&2
     exit 1
   fi
-  echo "   opm_serve drained: exit 0, socket removed"
+  # The drain flushes the write-behind disk tier: records on disk, and no
+  # scratch file of a publish cut short.
+  if ! compgen -G "$scratch-ext/*.opmrec" > /dev/null; then
+    echo "ci: FAIL — no .opmrec record in $scratch-ext after the drain" >&2
+    exit 1
+  fi
+  if [ -n "$(find "$scratch-ext" -name '.tmp-*' -print -quit)" ]; then
+    echo "ci: FAIL — .tmp-* scratch file left in $scratch-ext after the drain" >&2
+    exit 1
+  fi
+  echo "   opm_serve drained: exit 0, socket removed, records flushed"
 
   echo "== [serve] sharded tier: 2 TCP shards + opm_router, zipf v2 load"
   local token="ci-serve-token" l2="$scratch-l2"

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -21,7 +22,9 @@
 ///   * an optional on-disk tier of versioned binary records under the
 ///     configured cache directory (default ".opm-cache/", overridable via
 ///     OPM_CACHE_DIR / --cache-dir), which makes warm starts survive
-///     process restarts.
+///     process restarts. It is write-behind: store() fills the memory
+///     tier and queues the record for one writer thread, so the caller
+///     does not wait for the file create (see docs/MODEL.md §7).
 ///
 /// This mirrors how the OPM literature treats a fast memory tier as a
 /// transparent cache over slow recomputation: identical query, served from
@@ -43,6 +46,14 @@ namespace opm::core {
 /// of cached payloads changes: model recalibrations that are NOT visible
 /// in the hashed inputs, layout changes of the result structs, etc.
 inline constexpr std::uint32_t kResultCacheVersion = 1;
+
+/// Bound on the bytes queued for the disk tier's writer thread. Each
+/// queued record is charged its payload size, but at least
+/// kWriteBehindMinCharge, so at most 64 records wait and a flush takes
+/// about 64 file creates. A store that would pass the bound writes its
+/// record on the caller's thread instead; no record is ever dropped.
+inline constexpr std::size_t kWriteBehindQueueBytes = std::size_t{4} << 20;
+inline constexpr std::size_t kWriteBehindMinCharge = std::size_t{64} << 10;
 
 struct CacheConfig {
   bool enabled = false;        ///< master switch; disabled = every call no-ops
@@ -66,7 +77,7 @@ struct CacheStats {
   std::size_t misses = 0;          ///< absent in both tiers
   std::size_t stores = 0;          ///< store() calls that cached a new payload
   std::size_t bytes_loaded = 0;    ///< payload bytes served (both tiers)
-  std::size_t bytes_stored = 0;    ///< payload bytes written to the disk tier
+  std::size_t bytes_stored = 0;    ///< payload bytes written to the disk tier (once on disk)
   std::size_t corrupt_records = 0; ///< bad magic/length/key/checksum → recompute
   std::size_t version_skew = 0;    ///< record from another cache version → recompute
   std::size_t type_mismatch = 0;   ///< element size differs from the request → recompute
@@ -76,8 +87,12 @@ struct CacheStats {
   std::size_t evicted_budget = 0;  ///< disk records deleted by max_disk_bytes pruning
   std::size_t evicted_orphan = 0;  ///< stale .tmp- files from crashed writers
   std::size_t evicted_bytes = 0;   ///< disk bytes reclaimed by pruning (both reasons)
+  // The write-behind disk tier:
+  std::size_t write_behind_queued = 0;  ///< records handed to the writer thread
+  std::size_t write_behind_sync = 0;    ///< records written by the caller: queue full
+  double write_behind_seconds = 0.0;    ///< writer thread time spent publishing and pruning
   double lookup_seconds = 0.0;
-  double store_seconds = 0.0;
+  double store_seconds = 0.0;           ///< the callers' part of store() only
 
   std::size_t hits() const { return memory_hits + disk_hits; }
   std::size_t faults() const {
@@ -93,9 +108,11 @@ struct CacheProbe {
   /// "version-skew", "type-mismatch", "io-error").
   const char* source = "cold";
   std::size_t bytes_loaded = 0;
+  /// Payload bytes bound for the disk tier: queued for the writer, or
+  /// written by the caller. 0 when the disk tier is off or the write failed.
   std::size_t bytes_stored = 0;
   double lookup_seconds = 0.0;
-  double store_seconds = 0.0;
+  double store_seconds = 0.0;  ///< the caller's part: memory insert + queueing
 };
 
 class ResultCache {
@@ -104,9 +121,10 @@ class ResultCache {
   /// table is built exactly once, before any lookup can race on it).
   static ResultCache& instance();
 
-  /// Replaces the configuration and drops the in-memory tier (disk records
-  /// are left alone: they are re-validated on next read). Not a hot-path
-  /// call; safe to invoke concurrently with lookups.
+  /// Replaces the configuration, flushes the disk tier and drops the
+  /// in-memory tier (disk records are left alone: they are re-validated on
+  /// next read). Not a hot-path call; safe to invoke concurrently with
+  /// lookups.
   void configure(const CacheConfig& config);
   CacheConfig config() const;
   bool enabled() const;
@@ -114,9 +132,14 @@ class ResultCache {
   CacheStats stats() const;
   void reset_stats();
 
-  /// Drops every in-memory entry (disk tier untouched). Used by the
+  /// Flushes the disk tier, then drops every in-memory entry. Used by the
   /// cold/warm benches to measure the disk tier in isolation.
   void clear_memory();
+
+  /// Returns once every record stored before the call is on disk (or its
+  /// write failed and was counted). configure(), clear_memory(), the
+  /// destructor and the serve drain call it.
+  void flush();
 
   /// Looks `key` up in memory, then disk. Returns the payload on a hit
   /// (bit-identical to what was stored) or nullopt on any miss or fault.
@@ -124,37 +147,43 @@ class ResultCache {
   std::optional<std::vector<T>> find(const util::Digest128& key, CacheProbe* probe = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "cache payloads are raw element bytes");
-    auto bytes = find_bytes(key, sizeof(T), probe);
+    const Payload bytes = find_bytes(key, sizeof(T), probe);
     if (!bytes) return std::nullopt;
     std::vector<T> out(bytes->size() / sizeof(T));
     if (!out.empty()) std::memcpy(out.data(), bytes->data(), bytes->size());
     return out;
   }
 
-  /// Stores `value` in both tiers. Disk failures (unwritable directory,
-  /// full disk, ...) are absorbed: the in-memory entry still lands and the
-  /// fault is counted. Returns false only when the cache is disabled.
+  /// Stores `value` in memory at once and queues it for the disk tier.
+  /// Disk failures (unwritable directory, full disk, ...) are absorbed:
+  /// the in-memory entry still lands and the fault is counted. Returns
+  /// false only when the cache is disabled.
   template <typename T>
   bool store(const util::Digest128& key, const std::vector<T>& value,
              CacheProbe* probe = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "cache payloads are raw element bytes");
-    std::vector<std::byte> bytes(value.size() * sizeof(T));
-    if (!bytes.empty()) std::memcpy(bytes.data(), value.data(), bytes.size());
-    return store_bytes(key, sizeof(T), std::move(bytes), probe);
+    if (!enabled()) return false;
+    const auto* first = reinterpret_cast<const std::byte*>(value.data());
+    return store_bytes(key, sizeof(T),
+                       std::make_shared<const std::vector<std::byte>>(
+                           first, first + value.size() * sizeof(T)),
+                       probe);
   }
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
  private:
+  /// One payload buffer, shared by the memory tier and the writer queue.
+  using Payload = std::shared_ptr<const std::vector<std::byte>>;
+
   ResultCache();
   ~ResultCache();
 
-  std::optional<std::vector<std::byte>> find_bytes(const util::Digest128& key,
-                                                   std::size_t elem_size, CacheProbe* probe);
-  bool store_bytes(const util::Digest128& key, std::size_t elem_size,
-                   std::vector<std::byte> payload, CacheProbe* probe);
+  Payload find_bytes(const util::Digest128& key, std::size_t elem_size, CacheProbe* probe);
+  bool store_bytes(const util::Digest128& key, std::size_t elem_size, Payload payload,
+                   CacheProbe* probe);
 
   struct Impl;
   Impl* impl_;

@@ -42,14 +42,10 @@ void Listener::answer(const Session& session, std::string_view line) {
   session.conn->write_line(line);
 }
 
-bool Listener::admit(const Session& session, const protocol::Envelope& env) {
-  if (session.authed) return true;
+bool Listener::refuse_auth(const Session& session, const protocol::Envelope& env,
+                           const char* message) {
   bump(config_.rejected_auth);
-  answer(session, protocol::render_error(
-                      env, protocol::make_error(
-                               "auth",
-                               "this listener requires a {\"type\":\"hello\",\"token\":...} "
-                               "first; closing connection")));
+  answer(session, protocol::render_error(env, protocol::make_error("auth", message)));
   return false;
 }
 
@@ -58,28 +54,29 @@ bool Listener::handle_line(std::string_view line, Session& session) {
   const std::size_t first = line.find_first_not_of(" \t\r");
   if (first == std::string_view::npos) return true;  // blank: ignore
   bump(config_.lines);
-  if (line[first] == '[' && on_batch_) return on_batch_(line, session);
+  if (line[first] == '[' && on_batch_ && session.authed) return on_batch_(line, session);
   protocol::Request req;
   protocol::Error err;
-  if (!protocol::parse_request(line, &req, &err)) {
+  const bool parsed = protocol::parse_request(line, &req, &err);
+  const protocol::Envelope env = protocol::envelope_of(req, config_.shard);
+  if (parsed && req.type == protocol::RequestType::kHello) {
+    if (gated_ && req.token != config_.auth_token)
+      return refuse_auth(session, env, "hello token does not match; closing connection");
+    session.authed = true;
+    answer(session, protocol::render_hello_ok(env));
+    return true;
+  }
+  // The gate comes before every other answer: until hello, a line of any
+  // shape (unparsable, a batch, a request) gets one auth error and a hangup.
+  if (!session.authed)
+    return refuse_auth(session, env,
+                       "this listener requires a {\"type\":\"hello\",\"token\":...} first; "
+                       "closing connection");
+  if (!parsed) {
     bump(config_.errors_protocol);
-    answer(session, protocol::render_error(protocol::envelope_of(req, config_.shard), err));
+    answer(session, protocol::render_error(env, err));
     return true;  // framing is intact; the connection stays open
   }
-  const protocol::Envelope env = protocol::envelope_of(req, config_.shard);
-  if (req.type == protocol::RequestType::kHello) {
-    if (!gated_ || req.token == config_.auth_token) {
-      session.authed = true;
-      answer(session, protocol::render_hello_ok(env));
-      return true;
-    }
-    bump(config_.rejected_auth);
-    answer(session, protocol::render_error(
-                        env, protocol::make_error(
-                                 "auth", "hello token does not match; closing connection")));
-    return false;
-  }
-  if (!admit(session, env)) return false;
   on_request_(std::move(req), session);
   return true;
 }

@@ -24,9 +24,11 @@
 ///     line gets an "oversized" error and a hangup (framing is lost), a
 ///     malformed one a structured error on a connection that stays open;
 ///   * the auth gate: on a TCP listener with an auth_token, a connection
-///     whose first request is not {"type":"hello","token":...} with that
-///     token gets one "auth" error and a hangup. Unix and stdio streams
-///     are local trust (hello still answers);
+///     whose first non-blank line is anything but a well-formed
+///     {"type":"hello","token":...} with that token (a request, a batch,
+///     an unparsable line, a wrong token) gets one "auth" error and a
+///     hangup. Unix and stdio streams are local trust (hello still
+///     answers);
 ///   * client identity: TCP connections from one IPv4 address share a
 ///     client id, so quotas and fairness bound the peer;
 ///   * the drain: a byte on drain_fd() (async-signal-safe) makes wait()
@@ -60,8 +62,9 @@ class Listener {
  public:
   /// Acts on one parsed request that passed the gate (never a hello).
   using OnRequest = std::function<void(protocol::Request, const Session&)>;
-  /// Takes a line whose first non-blank byte is '['; false hangs up.
-  /// Without one, such lines fail to parse like any other bad request.
+  /// Takes a line whose first non-blank byte is '[' from a session past
+  /// the gate; false hangs up. Without one, such lines fail to parse like
+  /// any other bad request.
   using OnBatch = std::function<bool(std::string_view, const Session&)>;
 
   Listener(ListenerConfig config, OnRequest on_request, OnBatch on_batch = nullptr);
@@ -89,13 +92,10 @@ class Listener {
   /// in_fd. Closes neither fd.
   void serve_stream(int in_fd, int out_fd);
 
-  /// The gate for lines the listener does not parse (batches): true once
-  /// `session` has passed hello or when no gate applies; otherwise answers
-  /// one "auth" error under `env` and returns false (hang up).
-  bool admit(const Session& session, const protocol::Envelope& env);
-
  private:
   void answer(const Session& session, std::string_view line);
+  /// Answers one "auth" error under `env`; returns false (hang up).
+  bool refuse_auth(const Session& session, const protocol::Envelope& env, const char* message);
   bool handle_line(std::string_view line, Session& session);
   void read_loop(int in_fd, Session& session);
   std::uint64_t client_id_for(int fd);

@@ -109,8 +109,8 @@ std::vector<std::string_view> router_flags() {
 }
 
 int check_flags(const std::string& name, const util::Cli& cli,
-                const std::vector<std::string_view>& flags) {
-  if (const std::string retired = retired_flag_error(cli, "--listen"); !retired.empty()) {
+                const std::vector<std::string_view>& flags, const std::string& socket_flag) {
+  if (const std::string retired = retired_flag_error(cli, socket_flag); !retired.empty()) {
     util::log_error(name + ": " + retired);
     return 2;
   }

@@ -70,12 +70,15 @@ RouterConfig to_router_config(const Options& opt);
 std::vector<std::string_view> serve_flags();
 std::vector<std::string_view> router_flags();
 
-/// The command-line gate both binaries run first: 0 when `cli` holds only
+/// The command-line gate every serve-tier binary (opm_serve, opm_router,
+/// serve_loadgen, opm_advise) runs first: 0 when `cli` holds only
 /// `flags`; otherwise logs the offender under `name` and returns exit
-/// code 2 (the retired --socket names --listen=unix:PATH). A misspelled
-/// flag is refused, never silently replaced by its default.
+/// code 2 (the retired --socket names `socket_flag`=unix:PATH: --listen
+/// for listeners, --connect for clients). A misspelled flag is refused,
+/// never silently replaced by its default.
 int check_flags(const std::string& name, const util::Cli& cli,
-                const std::vector<std::string_view>& flags);
+                const std::vector<std::string_view>& flags,
+                const std::string& socket_flag = "--listen");
 
 /// The rest of both mains: start (exit 1 on failure), SIGTERM/SIGINT as
 /// a drain request, "NAME listening on WHERE" + `detail`, wait, exit 0.

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "core/result_cache.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 
@@ -54,8 +55,8 @@ struct Server::Impl {
   /// an array, empty, oversized) answer with one error line carrying an
   /// empty req_id; per-element faults answer under that element's own
   /// recovered envelope. hello cannot ride in a batch — auth is a
-  /// connection property, not a request property — so a gated connection
-  /// must have sent its hello line before its first batch.
+  /// connection property, not a request property — so the listener hands
+  /// over a gated connection's batches only after its hello line.
   bool handle_batch(std::string_view line, const Session& session) {
     const protocol::Envelope batch_env{2, std::string(), shard};
     auto refuse = [&](const protocol::Envelope& env, const char* category, std::string message) {
@@ -74,7 +75,6 @@ struct Server::Impl {
     if (doc->items.size() > kMaxBatchRequests)
       return refuse(batch_env, "bad-request",
                     "batch exceeds " + std::to_string(kMaxBatchRequests) + " requests");
-    if (!listener.admit(session, batch_env)) return false;
     for (const util::JsonValue& item : doc->items) {
       protocol::Request req;
       protocol::Error err;
@@ -103,13 +103,18 @@ Server::~Server() {
 bool Server::start(std::string* error) { return impl_->listener.start(error); }
 
 void Server::wait() {
-  impl_->listener.wait([this] { impl_->dispatcher.drain(); });
+  impl_->listener.wait([this] {
+    impl_->dispatcher.drain();
+    core::ResultCache::instance().flush();
+  });
 }
 
 void Server::serve_stream(int in_fd, int out_fd) {
   impl_->listener.serve_stream(in_fd, out_fd);
-  // EOF: answer everything already admitted, then hand the stream back.
+  // EOF: answer everything already admitted, put its records on disk,
+  // then hand the stream back.
   impl_->dispatcher.drain();
+  core::ResultCache::instance().flush();
 }
 
 Listener& Server::listener() const { return impl_->listener; }

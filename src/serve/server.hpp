@@ -11,8 +11,9 @@
 /// server adds batches (a JSON-array line, each element answered on its
 /// own line) and serve_stream, the same line path over any pair of fds
 /// (`opm_serve --stdio`, the pipe tests). Its drain finishes admitted
-/// work with Dispatcher::drain(); the result cache's disk tier is
-/// write-through, so no flush step exists or is needed.
+/// work with Dispatcher::drain(), then flushes the result cache's
+/// write-behind disk tier, so every record it stored is on disk before
+/// the drain returns.
 namespace opm::serve {
 
 struct ServerConfig {
@@ -33,8 +34,9 @@ class Server : public Frontend {
   void wait() override;
 
   /// Serves one already-open stream: reads request lines from in_fd until
-  /// EOF, writes response lines to out_fd, then drains the dispatcher so
-  /// every admitted request is answered before returning. Does not close
+  /// EOF, writes response lines to out_fd, then drains the dispatcher and
+  /// flushes the cache, so every admitted request is answered and every
+  /// record it stored is on disk before returning. Does not close
   /// either fd. Used by --stdio and by tests over pipes. Local trust: no
   /// auth gate.
   void serve_stream(int in_fd, int out_fd);

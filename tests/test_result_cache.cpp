@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -147,6 +152,7 @@ TEST_F(ResultCacheTest, DiskBudgetEvictsOldestRecordsFirst) {
   auto& cache = core::ResultCache::instance();
   for (std::uint64_t i = 1; i <= 3; ++i)
     ASSERT_TRUE(cache.store(key_of(i), payload(16, double(i))));
+  cache.flush();
   const std::uintmax_t record_bytes = fs::file_size(record_path(key_of(1)));
 
   // Pin an unambiguous age order: key 1 oldest, key 3 newest.
@@ -163,6 +169,7 @@ TEST_F(ResultCacheTest, DiskBudgetEvictsOldestRecordsFirst) {
                                 .max_disk_bytes = 3 * record_bytes + record_bytes / 2});
   core::reset_result_cache_stats();
   ASSERT_TRUE(cache.store(key_of(4), payload(16, 4.0)));
+  cache.flush();
 
   EXPECT_FALSE(fs::exists(record_path(key_of(1))));  // oldest went first
   EXPECT_TRUE(fs::exists(record_path(key_of(2))));
@@ -179,6 +186,7 @@ TEST_F(ResultCacheTest, DiskHitTouchesMtimeSoHotRecordsSurvivePruning) {
   auto& cache = core::ResultCache::instance();
   ASSERT_TRUE(cache.store(key_of(1), payload(16, 1.0)));
   ASSERT_TRUE(cache.store(key_of(2), payload(16, 2.0)));
+  cache.flush();
   const std::uintmax_t record_bytes = fs::file_size(record_path(key_of(1)));
 
   // Make key 1 the older record, then hit it from disk: the hit must
@@ -197,6 +205,7 @@ TEST_F(ResultCacheTest, DiskHitTouchesMtimeSoHotRecordsSurvivePruning) {
                                 .max_entries = 4096,
                                 .max_disk_bytes = 2 * record_bytes + record_bytes / 2});
   ASSERT_TRUE(cache.store(key_of(3), payload(16, 3.0)));
+  cache.flush();
 
   EXPECT_TRUE(fs::exists(record_path(key_of(1))));   // hot: mtime was touched
   EXPECT_FALSE(fs::exists(record_path(key_of(2))));  // cold: evicted
@@ -208,6 +217,7 @@ TEST_F(ResultCacheTest, PruningReapsStaleTmpFilesButSparesFreshOnes) {
       {.enabled = true, .disk = true, .dir = dir_.string(), .max_entries = 4096});
   auto& cache = core::ResultCache::instance();
   ASSERT_TRUE(cache.store(key_of(1), payload(16, 1.0)));
+  cache.flush();
 
   // A crashed writer's scratch file (old) and an in-flight one (fresh).
   const fs::path stale = dir_ / ".tmp-deadbeef-0";
@@ -224,7 +234,175 @@ TEST_F(ResultCacheTest, PruningReapsStaleTmpFilesButSparesFreshOnes) {
                                 .max_disk_bytes = 1 << 20});
   core::reset_result_cache_stats();
   ASSERT_TRUE(cache.store(key_of(2), payload(16, 2.0)));
+  cache.flush();
 
+  EXPECT_FALSE(fs::exists(stale));
+  EXPECT_TRUE(fs::exists(fresh));
+  EXPECT_EQ(core::result_cache_stats().evicted_orphan, 1u);
+}
+
+// ------------------------------------------------------------- write-behind --
+
+/// Reads one .opmrec file and checks it is whole: header + payload bytes
+/// on disk, payload length as the header says, checksum holding.
+::testing::AssertionResult whole_record(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return ::testing::AssertionFailure() << "cannot open " << path;
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  if (bytes.size() < 48)
+    return ::testing::AssertionFailure() << path << ": " << bytes.size() << " B";
+  std::uint64_t payload_len = 0, checksum = 0;
+  std::memcpy(&payload_len, bytes.data() + 32, 8);
+  std::memcpy(&checksum, bytes.data() + 40, 8);
+  if (bytes.size() != 48 + payload_len)
+    return ::testing::AssertionFailure()
+           << path << ": " << bytes.size() << " B on disk, header says 48 + " << payload_len;
+  util::Hasher128 h;
+  h.add_bytes(bytes.data() + 48, payload_len);
+  if (h.digest().lo != checksum) return ::testing::AssertionFailure() << path << ": bad checksum";
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<fs::path> records_in(const fs::path& dir) {
+  std::vector<fs::path> out;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec))
+    if (it->path().extension() == ".opmrec") out.push_back(it->path());
+  return out;
+}
+
+TEST_F(ResultCacheTest, FlushLeavesEveryStoredRecordWholeOnDisk) {
+  auto& cache = core::ResultCache::instance();
+  constexpr std::uint64_t kRecords = 40;
+  std::size_t bytes = 0;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const auto value = payload(100 + 37 * i, double(i) + 0.5);
+    core::CacheProbe probe;
+    ASSERT_TRUE(cache.store(key_of(100 + i), value, &probe));
+    EXPECT_EQ(probe.bytes_stored, value.size() * sizeof(double));  // bound for disk
+    bytes += value.size() * sizeof(double);
+  }
+  cache.flush();
+  const std::vector<fs::path> records = records_in(dir_);
+  EXPECT_EQ(records.size(), kRecords);
+  for (const fs::path& path : records) EXPECT_TRUE(whole_record(path));
+  const auto stats = core::result_cache_stats();
+  EXPECT_EQ(stats.write_behind_queued + stats.write_behind_sync, kRecords);
+  EXPECT_GT(stats.write_behind_queued, 0u);
+  EXPECT_EQ(stats.bytes_stored, bytes);
+  EXPECT_EQ(stats.io_errors, 0u);
+
+  cache.clear_memory();
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    core::CacheProbe probe;
+    const auto disk = cache.find<double>(key_of(100 + i), &probe);
+    ASSERT_TRUE(disk.has_value()) << i;
+    EXPECT_STREQ(probe.source, "disk");
+    EXPECT_EQ(*disk, payload(100 + 37 * i, double(i) + 0.5));  // bit-identical
+  }
+}
+
+TEST_F(ResultCacheTest, ConcurrentReaderOnlyEverSeesWholeRecords) {
+  // Records of 512 KiB: the queue holds a handful, so both the writer
+  // thread and the storing thread (queue full) publish while the reader
+  // polls the directory.
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> checked{0}, broken{0}, last_scan{0};
+  std::thread reader([&] {  // opm-lint: allow(thread-ownership) — the reader is the fixture
+    bool last = false;
+    while (!last) {
+      last = done.load();
+      const std::vector<fs::path> records = records_in(dir_);
+      for (const fs::path& path : records) {
+        if (whole_record(path)) {
+          checked.fetch_add(1);
+        } else {
+          broken.fetch_add(1);
+        }
+      }
+      last_scan.store(records.size());
+    }
+  });
+  auto& cache = core::ResultCache::instance();
+  constexpr std::uint64_t kRecords = 24;
+  for (std::uint64_t i = 0; i < kRecords; ++i)  // EXPECT: the reader must be joined
+    EXPECT_TRUE(cache.store(key_of(200 + i), payload(64 * 1024, double(i) + 1.0)));
+  cache.flush();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(broken.load(), 0u);
+  EXPECT_EQ(last_scan.load(), kRecords);  // the scan after flush() sees them all
+  EXPECT_GE(checked.load(), kRecords);
+}
+
+TEST_F(ResultCacheTest, PayloadOverTheQueueBoundIsWrittenBeforeStoreReturns) {
+  auto& cache = core::ResultCache::instance();
+  const auto key = key_of(300);
+  const auto value = payload(core::kWriteBehindQueueBytes / sizeof(double) + 1, 3.0);
+  const std::size_t bytes = value.size() * sizeof(double);
+  ASSERT_GT(bytes, core::kWriteBehindQueueBytes);
+  core::CacheProbe probe;
+  ASSERT_TRUE(cache.store(key, value, &probe));
+  // No flush(): the storing thread wrote this one itself.
+  ASSERT_TRUE(fs::exists(record_path(key)));
+  EXPECT_EQ(fs::file_size(record_path(key)), 48 + bytes);
+  EXPECT_TRUE(whole_record(record_path(key)));
+  EXPECT_EQ(probe.bytes_stored, bytes);
+  const auto stats = core::result_cache_stats();
+  EXPECT_EQ(stats.write_behind_sync, 1u);
+  EXPECT_EQ(stats.write_behind_queued, 0u);
+  EXPECT_EQ(stats.bytes_stored, bytes);
+}
+
+TEST_F(ResultCacheTest, QueuedWriteThatFailsIsCountedAtFlushAndMemoryStillServes) {
+  fs::create_directories(dir_);
+  const fs::path blocker = dir_ / "blocker";
+  std::ofstream(blocker).put('x');
+  core::configure_result_cache(
+      {.enabled = true, .disk = true, .dir = blocker.string(), .max_entries = 64});
+  core::reset_result_cache_stats();
+
+  auto& cache = core::ResultCache::instance();
+  const auto key = key_of(301);
+  const auto value = payload(32, 9.0);
+  ASSERT_TRUE(cache.store(key, value));
+  cache.flush();
+  const auto stats = core::result_cache_stats();
+  EXPECT_EQ(stats.write_behind_queued, 1u);
+  EXPECT_EQ(stats.write_behind_sync, 0u);
+  EXPECT_EQ(stats.io_errors, 1u);
+  EXPECT_EQ(stats.bytes_stored, 0u);  // nothing reached the disk
+  core::CacheProbe probe;
+  const auto mem = cache.find<double>(key, &probe);
+  ASSERT_TRUE(mem.has_value());
+  EXPECT_STREQ(probe.source, "memory");
+  EXPECT_EQ(*mem, value);
+}
+
+TEST_F(ResultCacheTest, PruningReapsStaleScratchFilesInTheScratchDir) {
+  // Records are written as .tmp- files under <dir>/.tmp, then renamed into
+  // place; a crashed writer's leftovers there are reaped like the old
+  // top-level ones, and an in-flight one is spared.
+  auto& cache = core::ResultCache::instance();
+  ASSERT_TRUE(cache.store(key_of(400), payload(16, 1.0)));
+  cache.flush();
+  const fs::path scratch = dir_ / ".tmp";
+  ASSERT_TRUE(fs::is_directory(scratch));
+  EXPECT_TRUE(fs::is_empty(scratch));  // every publish renamed its file away
+  const fs::path stale = scratch / ".tmp-deadbeef-7";
+  const fs::path fresh = scratch / ".tmp-cafef00d-8";
+  std::ofstream(stale) << "partial";
+  std::ofstream(fresh) << "partial";
+  fs::last_write_time(stale, fs::file_time_type::clock::now() - std::chrono::minutes(30));
+
+  core::configure_result_cache({.enabled = true,
+                                .disk = true,
+                                .dir = dir_.string(),
+                                .max_entries = 4096,
+                                .max_disk_bytes = 1 << 20});
+  core::reset_result_cache_stats();
+  ASSERT_TRUE(cache.store(key_of(401), payload(16, 2.0)));
+  cache.flush();
   EXPECT_FALSE(fs::exists(stale));
   EXPECT_TRUE(fs::exists(fresh));
   EXPECT_EQ(core::result_cache_stats().evicted_orphan, 1u);
@@ -389,6 +567,7 @@ TEST_F(ResultCacheTest, UnwritableCacheDirDegradesToMemoryOnly) {
   const auto key = key_of(16);
   const auto value = payload(16, 8.0);
   EXPECT_TRUE(cache.store(key, value));  // absorbed: memory still lands
+  cache.flush();
   EXPECT_EQ(core::result_cache_stats().io_errors, 1u);
 
   const auto mem = cache.find<double>(key);

@@ -600,11 +600,40 @@ TEST_F(RouterTest, OneTokenGatesTheRouterAndIsItsHelloToTheShards) {
   }
   EXPECT_EQ(rejected_auth.value() - rejected_before, 2u);
 
+  // Unparsable lines and batches before hello are refused the same way,
+  // and none of them counts as a protocol error.
+  util::Counter& errors_protocol =
+      util::MetricsRegistry::instance().counter("router.errors_protocol");
+  const std::uint64_t errors_before = errors_protocol.value();
+  for (const char* first : {"{broken", "[{broken"}) {
+    serve::LineClient client(kTimeoutMs);
+    ASSERT_TRUE(client.connect(mesh.address));
+    ASSERT_TRUE(client.send_line(first));
+    std::string line, extra;
+    ASSERT_TRUE(client.recv_line(&line)) << first;
+    protocol::ResponseView view;
+    ASSERT_TRUE(protocol::parse_response(line, &view)) << line;
+    EXPECT_EQ(view.error.category, "auth") << first;
+    EXPECT_FALSE(client.recv_line(&extra)) << first << ": " << extra;
+    EXPECT_TRUE(client.wait_eof()) << first;
+  }
+  EXPECT_EQ(rejected_auth.value() - rejected_before, 4u);
+  EXPECT_EQ(errors_protocol.value(), errors_before);
+
   // The right token unlocks routed sweeps from both shards, which took the
-  // router's own hello: payloads byte-identical to offline.
+  // router's own hello: payloads byte-identical to offline. Past the gate
+  // a broken line is a parse error and the connection stays open.
   serve::LineClient client(kTimeoutMs);
   ASSERT_TRUE(client.connect(mesh.address));
   ASSERT_TRUE(client.hello("sekrit"));
+  {
+    ASSERT_TRUE(client.send_line("{broken"));
+    std::string line;
+    ASSERT_TRUE(client.recv_line(&line));
+    protocol::ResponseView view;
+    ASSERT_TRUE(protocol::parse_response(line, &view)) << line;
+    EXPECT_EQ(view.error.category, "parse") << line;
+  }
   for (int owner = 0; owner < 2; ++owner) {
     const std::string body = request_owned_by(owner, 2);
     ASSERT_TRUE(client.send_line(R"({"v":2,"req_id":"q",)" + body.substr(1)));

@@ -834,6 +834,58 @@ TEST_F(ServeTest, TcpListenerGatesConnectionsBehindHelloToken) {
   server.wait();
 }
 
+TEST_F(ServeTest, GatedConnectionAnswersNoLineBeforeHelloButAuth) {
+  // Before hello, an unparsable line or batch gets what a well-formed
+  // request gets: one auth error and a hangup, never a parse answer on a
+  // connection that stays open.
+  serve::ServerConfig sc;
+  sc.listen_address = "127.0.0.1:0";
+  sc.auth_token = "sekrit";
+  serve::Server server(sc);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const std::string address = "127.0.0.1:" + std::to_string(server.bound_port());
+  auto& registry = util::MetricsRegistry::instance();
+  util::Counter& rejected_auth = registry.counter("serve.rejected_auth");
+  util::Counter& errors_protocol = registry.counter("serve.errors_protocol");
+  const std::uint64_t rejected_before = rejected_auth.value();
+  const std::uint64_t errors_before = errors_protocol.value();
+
+  for (const char* first : {"{broken", "[{broken"}) {
+    serve::LineClient client(kTimeoutMs);
+    ASSERT_TRUE(client.connect(address));
+    ASSERT_TRUE(client.send_line(first));
+    std::string response, extra;
+    ASSERT_TRUE(client.recv_line(&response)) << first;
+    const auto doc = util::parse_json(response);
+    ASSERT_TRUE(doc.has_value()) << response;
+    EXPECT_EQ(doc->find("error")->find("category")->string, "auth") << first;
+    EXPECT_FALSE(client.recv_line(&extra)) << first << ": " << extra;
+    EXPECT_TRUE(client.wait_eof()) << first;
+  }
+  EXPECT_EQ(rejected_auth.value() - rejected_before, 2u);
+  EXPECT_EQ(errors_protocol.value(), errors_before);
+
+  // Past the gate, a broken line is a parse error on a connection that
+  // stays open.
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(address));
+  ASSERT_TRUE(client.hello("sekrit"));
+  ASSERT_TRUE(client.send_line("{broken"));
+  std::string response;
+  ASSERT_TRUE(client.recv_line(&response));
+  const auto doc = util::parse_json(response);
+  ASSERT_TRUE(doc.has_value()) << response;
+  EXPECT_EQ(doc->find("error")->find("category")->string, "parse") << response;
+  ASSERT_TRUE(client.send_line(R"({"type":"ping"})"));
+  ASSERT_TRUE(client.recv_line(&response));
+  EXPECT_NE(response.find("\"pong\""), std::string::npos) << response;
+  EXPECT_EQ(rejected_auth.value() - rejected_before, 2u);
+
+  server.request_drain();
+  server.wait();
+}
+
 TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
   const std::string path = test_socket_path("oversized");
   serve::ServerConfig sc;
@@ -944,6 +996,59 @@ TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
   EXPECT_NE(::stat(path.c_str(), &st), 0);
   serve::LineClient late(kTimeoutMs);
   EXPECT_FALSE(late.connect(path));
+}
+
+TEST_F(ServeTest, DrainLeavesEveryStoredRecordOnDisk) {
+  // The disk tier is write-behind: the drain flushes it, so a drained
+  // server has published every record it stored, and no scratch file of
+  // a half-done publish is left.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("opm-serve-drain-cache-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  core::CacheConfig cfg;
+  cfg.enabled = true;
+  cfg.disk = true;
+  cfg.dir = dir.string();
+  core::configure_result_cache(cfg);
+  core::reset_result_cache_stats();
+
+  const std::string path = test_socket_path("drain-cache");
+  serve::ServerConfig sc;
+  sc.listen_address = "unix:" + path;
+  serve::Server server(sc);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  serve::LineClient client(kTimeoutMs);
+  ASSERT_TRUE(client.connect(path));
+  const std::string line =
+      R"({"id":"c1","type":"footprint","platform":"knl-cache","kernel":"stencil",)"
+      R"("fp_lo":65536,"fp_hi":67108864,"points":48})";
+  ASSERT_TRUE(client.send_line(line));
+  std::string response;
+  ASSERT_TRUE(client.recv_line(&response));
+  const auto doc = util::parse_json(response);
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_TRUE(doc->find("ok")->boolean) << response;
+  EXPECT_EQ(doc->find("payload")->string, serve::protocol::execute(parse_ok(line)));
+  client.close();
+  server.request_drain();
+  server.wait();
+
+  const core::CacheStats stats = core::result_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.stores, 1u);
+  EXPECT_EQ(stats.bytes_stored, 48 * sizeof(core::SweepPoint));
+  std::size_t records = 0, scratch = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() == ".opmrec") ++records;
+    if (name.rfind(".tmp-", 0) == 0) ++scratch;
+  }
+  EXPECT_EQ(records, 1u);
+  EXPECT_EQ(scratch, 0u);
+  core::configure_result_cache(saved_config_);
+  fs::remove_all(dir);
 }
 
 TEST_F(ServeTest, ConcurrentClientsCoalesceToByteIdenticalResponses) {
@@ -1134,6 +1239,47 @@ TEST(ServeCli, EachBinaryTakesItsOwnFlagsAndNothingElse) {
     EXPECT_NE(output.find(c.named), std::string::npos) << command << "\n" << output;
   }
   std::filesystem::remove_all(cache_dir);
+}
+
+TEST(ServeCli, LoadgenAndAdvisorTakeOnlyTheirOwnFlags) {
+  // The two clients of the tier check their command lines too, so
+  // `opm_advise --conect=...` cannot silently run offline. The flags
+  // scripts/ci.sh passes them get through: each gets as far as its
+  // unreachable server (exit 1).
+  const std::string scratch = "serve-cli-clients-" + std::to_string(::getpid());
+  struct Case {
+    const char* binary;
+    std::string args;
+    int exit_code;
+    const char* named;
+  };
+  for (const Case& c :
+       {Case{OPM_LOADGEN_BIN, "--qiuck", 2, "--qiuck"},
+        Case{OPM_LOADGEN_BIN, "--connect=unix:a.sock stray", 2, "stray"},
+        Case{OPM_ADVISE_BIN, "--kernel spmv --platform knl-ddr --conect=127.0.0.1:1", 2,
+             "--conect"},
+        Case{OPM_LOADGEN_BIN,
+             "--connect=unix:no-such-loadgen.sock --token=t --v2 --zipf --dup=6 --clients=2"
+             " --cache-dir=" + scratch + " --no-sweep-stats --out=" + scratch + ".json",
+             1, "FAIL"},
+        Case{OPM_ADVISE_BIN,
+             "--kernel spmv --platform knl-ddr --json --connect=unix:no-such-advise.sock"
+             " --token=t --cache-dir=" + scratch + " --no-sweep-stats",
+             1, "no-such-advise.sock"}}) {
+    const std::string command =
+        std::string("timeout 60 ") + c.binary + " " + c.args + " </dev/null 2>&1";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << command;
+    std::string output;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), c.exit_code) << command << "\n" << output;
+    EXPECT_NE(output.find(c.named), std::string::npos) << command << "\n" << output;
+  }
+  std::filesystem::remove_all(scratch);
+  std::filesystem::remove(scratch + ".json");
 }
 
 }  // namespace

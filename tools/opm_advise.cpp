@@ -17,14 +17,19 @@
 //
 // Sweep knobs (--sweep-workers, --cache-dir, --no-cache, ...) are the
 // shared core::resolve_sweep_config surface, so the verification sweeps
-// here hit the same result cache as the bench harnesses.
+// here hit the same result cache as the bench harnesses. Any other flag,
+// or a positional argument, exits 2 naming it.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "advise/advise.hpp"
 #include "core/sweep_config.hpp"
 #include "serve/client.hpp"
+#include "serve/options.hpp"
 #include "serve/protocol.hpp"
 #include "util/cli.hpp"
 
@@ -98,6 +103,11 @@ int run_connected(const std::string& address, const std::string& token,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  std::vector<std::string_view> flags = {"help",         "kernel",    "platform",
+                                         "objective",    "json",      "no-verify",
+                                         "footprint-mb", "connect",   "token"};
+  flags.insert(flags.end(), std::begin(core::kSweepConfigFlags), std::end(core::kSweepConfigFlags));
+  if (const int rc = serve::check_flags("opm_advise", cli, flags, "--connect")) return rc;
   if (cli.has("help")) return usage(stdout);
 
   const std::string kernel_name = cli.get("kernel", "");
