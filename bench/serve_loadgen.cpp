@@ -26,7 +26,9 @@
 // its shards'). The overload probe only runs in-process. --tolerant
 // downgrades rejected/failed responses from fatal to counted — the CI
 // drain test fires SIGTERM mid-load and only cares that the server
-// answers every request with *something* structured.
+// answers every request with *something* structured — but still fails a
+// run that got neither a served payload nor a structured rejection (a
+// load that never reached the server).
 //
 // --router-bench is the sharded-tier acceptance mode: it stands up an
 // in-process router in front of 1 and then 2 single-worker shards,
@@ -649,6 +651,12 @@ int main(int argc, char** argv) {
   if (tolerant && (rejected > 0 || failed > 0))
     std::cout << "tolerant mode: " << rejected << " rejections / " << failed
               << " failures accepted\n";
+  if (tolerant && served == 0 && rejected == 0) {
+    // A load the drain cut still saw a payload or a structured rejection;
+    // one that never reached the server saw neither.
+    std::cout << "FAIL — tolerant run got no served payload and no structured rejection\n";
+    pass = false;
+  }
 
   if (server) {
     server->request_drain();

@@ -577,11 +577,13 @@ ResultCache::Payload ResultCache::find_bytes(const util::Digest128& key, std::si
 }
 
 bool ResultCache::store_bytes(const util::Digest128& key, std::size_t elem_size,
-                              Payload payload, CacheProbe* probe) {
+                              const std::byte* data, std::size_t payload_bytes,
+                              CacheProbe* probe) {
   if (!enabled()) return false;
   const auto t0 = Clock::now();
+  const Payload payload =
+      std::make_shared<const std::vector<std::byte>>(data, data + payload_bytes);
   const CacheConfig cfg = impl_->snapshot();
-  const std::size_t payload_bytes = payload->size();
   // Memory first, so an identical request right after this one hits.
   impl_->memory_store(key, elem_size, payload);
   bool disk_ok = true;

@@ -112,7 +112,9 @@ struct CacheProbe {
   /// written by the caller. 0 when the disk tier is off or the write failed.
   std::size_t bytes_stored = 0;
   double lookup_seconds = 0.0;
-  double store_seconds = 0.0;  ///< the caller's part: memory insert + queueing
+  /// The caller's part of a store: the payload copy, the memory insert and
+  /// the queueing.
+  double store_seconds = 0.0;
 };
 
 class ResultCache {
@@ -164,11 +166,8 @@ class ResultCache {
     static_assert(std::is_trivially_copyable_v<T>,
                   "cache payloads are raw element bytes");
     if (!enabled()) return false;
-    const auto* first = reinterpret_cast<const std::byte*>(value.data());
-    return store_bytes(key, sizeof(T),
-                       std::make_shared<const std::vector<std::byte>>(
-                           first, first + value.size() * sizeof(T)),
-                       probe);
+    return store_bytes(key, sizeof(T), reinterpret_cast<const std::byte*>(value.data()),
+                       value.size() * sizeof(T), probe);
   }
 
   ResultCache(const ResultCache&) = delete;
@@ -182,8 +181,10 @@ class ResultCache {
   ~ResultCache();
 
   Payload find_bytes(const util::Digest128& key, std::size_t elem_size, CacheProbe* probe);
-  bool store_bytes(const util::Digest128& key, std::size_t elem_size, Payload payload,
-                   CacheProbe* probe);
+  /// Copies `payload_bytes` bytes at `data` into the payload buffer the tiers
+  /// share, inside the store's timed span.
+  bool store_bytes(const util::Digest128& key, std::size_t elem_size, const std::byte* data,
+                   std::size_t payload_bytes, CacheProbe* probe);
 
   struct Impl;
   Impl* impl_;

@@ -3,6 +3,8 @@
 #include <string>
 #include <string_view>
 
+#include "serve/conn.hpp"
+
 namespace opm::serve {
 
 /// The one blocking client of the serve tier's line protocol: what
@@ -41,7 +43,7 @@ class LineClient {
   int fd_ = -1;
   int timeout_ms_;
   bool eof_ = false;
-  std::string buf_;  ///< bytes read past the last returned line
+  LineBuffer buf_;  ///< bytes read past the last returned line
 };
 
 }  // namespace opm::serve

@@ -1,8 +1,8 @@
 #include "util/format.hpp"
 
 #include <array>
+#include <bit>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -10,22 +10,40 @@
 
 namespace opm::util {
 
+namespace {
+
+/// The two lowercase hex digits of every byte value, high nibble first.
+constexpr std::array<char, 512> kHexPairs = [] {
+  constexpr char kHex[] = "0123456789abcdef";
+  std::array<char, 512> pairs{};
+  for (int b = 0; b < 256; ++b) {
+    pairs[static_cast<std::size_t>(2 * b)] = kHex[b >> 4];
+    pairs[static_cast<std::size_t>(2 * b + 1)] = kHex[b & 0xF];
+  }
+  return pairs;
+}();
+
+}  // namespace
+
 char* write_hexf(char* out, double v) {
-  char* const first = out;
-  if (std::signbit(v)) *out++ = '-';
-  if (!std::isfinite(v)) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  const std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
+  const auto biased = static_cast<int>((bits >> 52) & 0x7FF);
+  if (bits >> 63) *out++ = '-';
+  if (biased == 0x7FF) {
     // %a spells these with no "0x".
-    std::memcpy(out, std::isnan(v) ? "nan" : "inf", 3);
+    std::memcpy(out, mantissa != 0 ? "nan" : "inf", 3);
     return out + 3;
   }
   *out++ = '0';
   *out++ = 'x';
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  const std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
-  if (((bits >> 52) & 0x7FF) == 0 && mantissa != 0) {
-    // %a leaves subnormals unnormalized ("0x0.0000000000001p-1022");
-    // to_chars would normalize them ("0x1p-1074").
+  if (biased == 0) {
+    if (mantissa == 0) {
+      std::memcpy(out, "0p+0", 4);
+      return out + 4;
+    }
+    // %a leaves subnormals unnormalized ("0x0.0000000000001p-1022").
     static constexpr char kHex[] = "0123456789abcdef";
     std::uint64_t m = mantissa;
     int digits = 13;
@@ -36,7 +54,23 @@ char* write_hexf(char* out, double v) {
     std::memcpy(out, "p-1022", 6);
     return out + 6;
   }
-  return std::to_chars(out, first + kHexfMaxBytes, std::fabs(v), std::chars_format::hex).ptr;
+  *out++ = '1';
+  if (mantissa != 0) {
+    // The 13 mantissa nibbles, shifted up one nibble to fill seven whole
+    // bytes, go out as seven digit pairs; the digits after the last
+    // nonzero nibble are then dropped, as %a drops them. The pairs end at
+    // most 19 bytes in, inside the kHexfMaxBytes the caller provides.
+    *out++ = '.';
+    const std::uint64_t m = mantissa << 4;
+    for (int byte = 0; byte < 7; ++byte)
+      std::memcpy(out + 2 * byte, &kHexPairs[2 * ((m >> (48 - 8 * byte)) & 0xFF)], 2);
+    out += 13 - std::countr_zero(mantissa) / 4;
+  }
+  int exponent = biased - 1023;
+  *out++ = 'p';
+  *out++ = exponent < 0 ? '-' : '+';
+  if (exponent < 0) exponent = -exponent;
+  return std::to_chars(out, out + 4, exponent).ptr;
 }
 
 void append_hexf(std::string& out, double v) {

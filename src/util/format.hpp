@@ -12,11 +12,13 @@ namespace opm::util {
 /// "-0x0.0000000000001p-1022" are 24 bytes.
 inline constexpr std::size_t kHexfMaxBytes = 24;
 
-/// Writes `v` exactly as glibc's printf("%a") spells it — the sign, "0x",
-/// then std::to_chars(chars_format::hex) of the magnitude; subnormals
-/// unnormalized as "0x0.<hex>p-1022"; "inf", "-inf", "nan" and "-nan" for
-/// non-finite values — into `out`, which must have room for kHexfMaxBytes.
-/// Returns one past the last byte written. The text is exact and
+/// Writes `v` exactly as glibc's printf("%a") spells it — the sign, "0x1.",
+/// the mantissa's hex digits without trailing zeros, then "p" and the
+/// signed decimal exponent; "0x0p+0" for zero; subnormals unnormalized as
+/// "0x0.<hex>p-1022"; "inf", "-inf", "nan" and "-nan" for non-finite
+/// values — into `out`, which must have room for kHexfMaxBytes (the
+/// writer may scribble inside that room past the returned end). Returns
+/// one past the last byte written. The text is exact and
 /// locale-independent, so it round-trips bit for bit.
 char* write_hexf(char* out, double v);
 

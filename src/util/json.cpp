@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -7,6 +8,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace opm::util {
 
@@ -21,7 +26,9 @@ JsonValue* JsonValue::find(std::string_view key) {
   return const_cast<JsonValue*>(std::as_const(*this).find(key));
 }
 
-std::size_t json_plain_run(std::string_view s) {
+namespace detail {
+
+std::size_t json_plain_run_swar(std::string_view s) {
   constexpr std::uint64_t kOnes = 0x0101010101010101ull;
   constexpr std::uint64_t kHigh = 0x8080808080808080ull;
   std::size_t i = 0;
@@ -43,6 +50,32 @@ std::size_t json_plain_run(std::string_view s) {
     if (c < 0x20 || c == '"' || c == '\\') break;
   }
   return i;
+}
+
+}  // namespace detail
+
+std::size_t json_plain_run(std::string_view s) {
+#if defined(__SSE2__)
+  // Sixteen bytes per step. A byte is special when it equals '"' or '\\',
+  // or when min(byte, 0x1f) == byte (an unsigned <= 0x1f: SSE2 compares
+  // bytes only as signed). A step loads only whole blocks inside `s`; the
+  // tail shorter than a block goes to the SWAR scan.
+  const __m128i quote = _mm_set1_epi8('"');
+  const __m128i slash = _mm_set1_epi8('\\');
+  const __m128i control = _mm_set1_epi8(0x1F);
+  std::size_t i = 0;
+  for (; i + 16 <= s.size(); i += 16) {
+    const __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.data() + i));
+    const __m128i hit = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi8(block, quote), _mm_cmpeq_epi8(block, slash)),
+        _mm_cmpeq_epi8(_mm_min_epu8(block, control), block));
+    const auto mask = static_cast<unsigned>(_mm_movemask_epi8(hit));
+    if (mask != 0) return i + static_cast<std::size_t>(std::countr_zero(mask));
+  }
+  return i + detail::json_plain_run_swar(s.substr(i));
+#else
+  return detail::json_plain_run_swar(s);
+#endif
 }
 
 namespace {

@@ -13,9 +13,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -33,6 +35,7 @@
 #include "serve/server.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 #include "util/socket.hpp"
 
 namespace {
@@ -102,7 +105,8 @@ TEST(JsonParser, EscapeRoundTrips) {
 TEST(JsonParser, BulkEscapeMatchesThePerByteEscape) {
   // The per-byte escaper json_escape replaced, as the oracle; inputs
   // cover every byte value and put each special byte at every offset of
-  // a plain run, so the eight-byte steps meet it in every lane.
+  // a plain run of up to 40 bytes, so the sixteen-byte steps meet it in
+  // every lane of two steps and in the tail after them.
   auto per_byte = [](std::string_view s) {
     std::string out;
     for (const char raw : s) {
@@ -131,7 +135,7 @@ TEST(JsonParser, BulkEscapeMatchesThePerByteEscape) {
   std::string every_byte;
   for (int c = 0; c < 256; ++c) every_byte += static_cast<char>(c);
   inputs.push_back(every_byte);
-  for (std::size_t n = 0; n <= 24; ++n)
+  for (std::size_t n = 0; n <= 40; ++n)
     for (std::size_t at = 0; at <= n; ++at)
       for (const char special : {'"', '\\', '\n', '\x01', '\x1f'}) {
         std::string s(n, 'p');
@@ -140,6 +144,40 @@ TEST(JsonParser, BulkEscapeMatchesThePerByteEscape) {
       }
   for (const std::string& s : inputs)
     EXPECT_EQ(util::json_escape(s), per_byte(s)) << testing::PrintToString(s);
+}
+
+TEST(JsonParser, PlainRunScanMatchesThePortableScan) {
+  // json_plain_run's sixteen-byte SSE2 steps against the eight-byte SWAR
+  // scan it falls back to elsewhere, as simd_probe.hpp holds its vector
+  // probe to the scalar one. Each input lives in a heap block of exactly
+  // its length, so a load past the end is a sanitizer error.
+  std::vector<std::string> inputs;
+  for (int c = 0; c < 256; ++c)
+    for (std::size_t n = 0; n <= 40; ++n)
+      for (std::size_t at = 0; at < n; ++at) {
+        if (at != n - 1 && at % 5 != 0 && c != '"' && c != '\\' && c >= 0x20) continue;
+        std::string s(n, c == 'p' ? 'q' : 'p');
+        s[at] = static_cast<char>(c);
+        inputs.push_back(s);
+      }
+  const std::string alphabet = std::string("pq\"\\ ~") + '\x00' + '\x01' + '\x1f' + '\x20' +
+                               '\x7f' + '\x80' + '\x9f' + '\xa2' + '\xdc' + '\xff';
+  util::Xoshiro256 rng(20261020);
+  for (int i = 0; i < 5000; ++i) {
+    std::string s;
+    const std::uint64_t plain = rng.bounded(48);
+    for (std::uint64_t k = 0; k < plain; ++k) s += static_cast<char>(0x20 + rng.bounded(0x60));
+    for (std::uint64_t n = rng.bounded(6); n > 0; --n)
+      s.insert(rng.bounded(s.size() + 1), 1, alphabet[rng.bounded(alphabet.size())]);
+    inputs.push_back(s);
+  }
+  for (const std::string& s : inputs) {
+    const std::unique_ptr<char[]> exact(new char[std::max<std::size_t>(s.size(), 1)]);
+    std::memcpy(exact.get(), s.data(), s.size());
+    const std::string_view view(exact.get(), s.size());
+    ASSERT_EQ(util::json_plain_run(view), util::detail::json_plain_run_swar(view))
+        << testing::PrintToString(s);
+  }
 }
 
 // --------------------------------------------------------------- protocol --
@@ -705,6 +743,32 @@ TEST(Framing, PartialLastLineAtEofIsDropped) {
   EXPECT_EQ(f.lines, std::vector<std::string>{"one"});
 }
 
+TEST(Framing, LongAndShortLinesBackToBackInRandomWrites) {
+  // Lines from empty to several times the first buffer block, written in
+  // seeded random pieces: the reader's buffer grows, moves a partial line
+  // to its start and restarts at offset 0, and every line arrives whole.
+  util::Xoshiro256 rng(2402);
+  std::vector<std::string> want;
+  std::string stream;
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t size = i % 3 == 0 ? rng.bounded(300 * 1024) : rng.bounded(200);
+    std::string line(size, static_cast<char>('a' + i % 26));
+    if (!line.empty()) line.front() = static_cast<char>('A' + i % 26);
+    want.push_back(line);
+    stream += line + "\n";
+  }
+  const Framed f = frame(1 << 20, [&](int writer, int) {
+    for (std::size_t at = 0; at < stream.size();) {
+      const std::size_t piece =
+          std::min<std::size_t>(1 + rng.bounded(100 * 1024), stream.size() - at);
+      ASSERT_TRUE(util::send_all(writer, std::string_view(stream).substr(at, piece)));
+      at += piece;
+    }
+  });
+  EXPECT_TRUE(f.intact);
+  EXPECT_EQ(f.lines, want);
+}
+
 // ------------------------------------------------------------------ server --
 
 /// Every receive in these tests is bounded: a server bug fails the test
@@ -1245,7 +1309,8 @@ TEST(ServeCli, LoadgenAndAdvisorTakeOnlyTheirOwnFlags) {
   // The two clients of the tier check their command lines too, so
   // `opm_advise --conect=...` cannot silently run offline. The flags
   // scripts/ci.sh passes them get through: each gets as far as its
-  // unreachable server (exit 1).
+  // unreachable server (exit 1). A --tolerant load that reached no server
+  // fails too: it got neither a payload nor a structured rejection.
   const std::string scratch = "serve-cli-clients-" + std::to_string(::getpid());
   struct Case {
     const char* binary;
@@ -1262,6 +1327,10 @@ TEST(ServeCli, LoadgenAndAdvisorTakeOnlyTheirOwnFlags) {
              "--connect=unix:no-such-loadgen.sock --token=t --v2 --zipf --dup=6 --clients=2"
              " --cache-dir=" + scratch + " --no-sweep-stats --out=" + scratch + ".json",
              1, "FAIL"},
+        Case{OPM_LOADGEN_BIN,
+             "--connect=unix:no-such-tolerant.sock --tolerant --quick --cache-dir=" + scratch +
+                 " --no-sweep-stats --out=" + scratch + ".json",
+             1, "no served payload and no structured rejection"},
         Case{OPM_ADVISE_BIN,
              "--kernel spmv --platform knl-ddr --json --connect=unix:no-such-advise.sock"
              " --token=t --cache-dir=" + scratch + " --no-sweep-stats",

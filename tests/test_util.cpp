@@ -262,7 +262,26 @@ TEST(Hexf, MatchesGlibcPercentAByteForByte) {
     std::memcpy(&v, &bits, sizeof v);
     check(v);
   }
-  EXPECT_EQ(checked, 400030u);
+  // Every normal exponent, with every count of trailing zero nibbles in
+  // the mantissa (13 = a zero mantissa), under both signs: each length the
+  // digit pairs are trimmed to and each exponent width.
+  for (int exponent = -1022; exponent <= 1023; ++exponent) {
+    for (int zeros = 0; zeros <= 13; ++zeros) {
+      std::uint64_t mantissa = 0;
+      if (zeros < 13) {
+        const std::uint64_t digits = rng.next() & ((std::uint64_t{1} << (4 * (13 - zeros))) - 1);
+        mantissa = (digits | 1) << (4 * zeros);  // the lowest kept nibble is nonzero
+      }
+      for (const std::uint64_t sign : {std::uint64_t{0}, std::uint64_t{1}}) {
+        const std::uint64_t bits =
+            sign << 63 | static_cast<std::uint64_t>(exponent + 1023) << 52 | mantissa;
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof v);
+        check(v);
+      }
+    }
+  }
+  EXPECT_EQ(checked, 400030u + 2046u * 14u * 2u);
   EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
 
   // The widest spelling fills the bound exactly.
