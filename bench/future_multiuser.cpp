@@ -38,8 +38,10 @@ int main() {
     const auto result = core::evaluate_partition(brd, tenants, policy);
     std::string slices, gflops;
     for (std::size_t i = 0; i < result.slice_bytes.size(); ++i) {
-      slices += (i ? "|" : "") + util::format_fixed(result.slice_bytes[i] / (1 << 20), 0);
-      gflops += (i ? "|" : "") + util::format_fixed(result.tenant_gflops[i], 2);
+      slices += i ? "|" : "";
+      slices += util::format_fixed(result.slice_bytes[i] / (1 << 20), 0);
+      gflops += i ? "|" : "";
+      gflops += util::format_fixed(result.tenant_gflops[i], 2);
     }
     csv.row(core::to_string(policy), slices, gflops,
             util::format_fixed(result.total_gflops, 2),

@@ -211,7 +211,10 @@ std::vector<ClientResult> replay(const std::string& address, const std::string& 
       }
       for (std::size_t i = 0; i < per_client[c].size(); ++i) {
         const std::size_t u = per_client[c][i];
-        const std::string id = "c" + std::to_string(c) + "-r" + std::to_string(i);
+        std::string id = "c";
+        id += std::to_string(c);
+        id += "-r";
+        id += std::to_string(i);
         const auto r0 = std::chrono::steady_clock::now();
         std::string line;
         if (!sock.send_line(with_id(uniques[u], id, v2)) || !sock.recv_line(&line)) {

@@ -53,10 +53,10 @@
 # question — the same byte-identity contract the sweep types carry.
 #
 # The perf job is the statistical perf contract (docs/MODEL.md §12): it
-# builds Release, runs every bench harness in --quick mode (sampled
-# measurement — warmup, repeats, per-iteration ns samples), and diffs the
-# fresh BENCH_<name>.json against the committed baselines in the repo
-# root with tools/opm_benchdiff. A metric fails only when its median
+# builds Release with -Werror, runs every bench harness in --quick mode
+# (sampled measurement — warmup, repeats, per-iteration ns samples), and
+# diffs the fresh BENCH_<name>.json against the committed baselines in
+# the repo root with tools/opm_benchdiff. A metric fails only when its median
 # moves beyond max(rel_floor, k·CV) in the harmful direction, so the gate
 # tightens exactly as far as the measurement is stable; coverage is also
 # gated both ways (a baseline metric gone from the harness, or a harness
@@ -405,9 +405,12 @@ run_advise() {
 
 run_perf() {
   local dir="build-perf"
-  echo "== [perf] configure & build Release ($dir)"
+  echo "== [perf] configure & build Release ($dir, -Werror)"
+  # -Werror here too: -O3 inlines deeper than the static job's
+  # RelWithDebInfo build, and GCC's -Wrestrict false positives on
+  # `"literal" + std::string` appear only then. opmbench builds this way.
   cmake -B "$root/$dir" -G Ninja -S "$root" \
-        -DCMAKE_BUILD_TYPE=Release > /dev/null
+        -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror > /dev/null
   cmake --build "$root/$dir" --target sim_hotpath sweep_engine cache_effectiveness \
         serve_loadgen advise_accuracy micro_bench opm_benchdiff
   local scratch="$root/$dir/perf-cache-scratch"

@@ -194,17 +194,37 @@ std::vector<SweepPoint> sweep_dense(const sim::Platform& platform,
   return cached_sweep<SweepPoint>(name, sweep_cache_key(platform, req), [&] {
     // The grid coordinates are accumulated serially (floating-point step
     // sums must not depend on the worker count); only the model
-    // evaluations fan out.
-    std::vector<std::pair<double, double>> grid;
-    for (double n = req.n_lo; n <= req.n_hi; n += req.n_step)
-      for (double nb = req.nb_lo; nb <= req.nb_hi; nb += req.nb_step) grid.emplace_back(n, nb);
+    // evaluations fan out. Every row (one n) steps through the same nbs.
+    std::vector<double> ns;
+    std::vector<double> nbs;
+    for (double n = req.n_lo; n <= req.n_hi; n += req.n_step) ns.push_back(n);
+    for (double nb = req.nb_lo; nb <= req.nb_hi; nb += req.nb_step) nbs.push_back(nb);
+    const auto model_at = [&](double n, double nb) {
+      return req.kernel == KernelId::kGemm ? kernels::gemm_model(platform, n, nb)
+                                           : kernels::cholesky_model(platform, n, nb);
+    };
 
-    return sweep_transform(name.c_str(), grid.size(), 4, [&](std::size_t i) {
-      const auto [n, nb] = grid[i];
-      const kernels::LocalityModel model =
-          req.kernel == KernelId::kGemm ? kernels::gemm_model(platform, n, nb)
-                                        : kernels::cholesky_model(platform, n, nb);
-      const kernels::Prediction pred = kernels::predict(platform, model);
+    // Along a row only nb moves, and nb changes none of the fields the
+    // channel rates depend on: one ChannelRates per row, built here in
+    // grid order. A row whose points would not outweigh its rates (a
+    // served grid may have a million one-point rows) predicts point by
+    // point.
+    std::vector<kernels::ChannelRates> rows;
+    if (nbs.size() * sizeof(SweepPoint) >= sizeof(kernels::ChannelRates)) {
+      rows.reserve(ns.size());
+      for (double n : ns) rows.push_back(kernels::channel_rates(platform, model_at(n, nbs[0])));
+    }
+
+    return sweep_transform(name.c_str(), ns.size() * nbs.size(), 4, [&](std::size_t i) {
+      const std::size_t row = i / nbs.size();
+      const double n = ns[row];
+      const double nb = nbs[i % nbs.size()];
+      const kernels::LocalityModel model = model_at(n, nb);
+      // A point the row's rates do not fit gets its own; correctness never
+      // rests on how the builders fill a row.
+      const kernels::Prediction pred = !rows.empty() && rows[row].fits(model)
+                                           ? kernels::predict(platform, rows[row], model)
+                                           : kernels::predict(platform, model);
       return SweepPoint{.x = n, .y = nb, .gflops = pred.gflops, .footprint = model.footprint};
     });
   });

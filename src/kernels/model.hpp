@@ -28,7 +28,15 @@ namespace opm::kernels {
 /// Smooth miss fraction of a working set `ws` against capacity `capacity`:
 /// ≈0 when ws ≪ capacity, 0.5 at ws = capacity, ≈1 when ws ≫ capacity.
 /// `sharpness` controls the transition width in the log domain.
+///
+/// Each thread keeps its last kMissMemoEntries evaluations of the
+/// logistic, keyed on the exact bits of the three arguments, and returns
+/// the stored result on a repeat: every point of a dense sweep row asks
+/// for the same (footprint, capacity) pairs (docs/MODEL.md §3).
 double capacity_miss_fraction(double ws, double capacity, double sharpness = 6.0);
+
+/// Entries in capacity_miss_fraction's per-thread memo.
+inline constexpr std::size_t kMissMemoEntries = 8;
 
 /// A miss curve stored inline: any trivially copyable callable
 /// `double(double)` whose captures fit in kCapacity bytes, invoked through
@@ -110,6 +118,43 @@ struct Prediction {
   double utilization = 0.0;
 };
 
+/// The part of a prediction fixed by the platform and by three model
+/// fields — footprint, mlp_max and direct_mapped_factor — and by nothing
+/// else: each tier's miss-curve argument, every channel's ramped latency
+/// and effective bandwidth, and the flat partition's split. Along a row of
+/// a dense (n, nb) sweep only nb moves and none of the three does, so
+/// core::sweep_dense builds one ChannelRates per row and predicts every
+/// point of the row with it.
+struct ChannelRates {
+  /// The model fields these rates were built from (see fits()).
+  double footprint = 0.0;
+  double mlp_max = 0.0;
+  double direct_mapped_factor = 0.0;
+  /// Per tier: the capacity above it, which its miss-curve call takes.
+  sim::ChannelArray<double> capacity_above{};
+  /// Every tier's capacity: the bottom traffic's miss-curve argument.
+  double bottom_capacity = 0.0;
+  /// Per channel, tiers then devices: the latency with the MLP ramp
+  /// divided out, and sim::effective_bandwidth under mlp_max.
+  sim::ChannelArray<double> latency{};
+  sim::ChannelArray<double> effective_bw{};
+  /// Share of the bottom traffic placed in the flat OPM partition, and the
+  /// devices' slowdown when the footprint straddles it.
+  bool has_flat = false;
+  double opm_frac = 0.0;
+  double penalty = 1.0;
+
+  /// True when `model` has this ChannelRates' footprint, mlp_max and
+  /// direct_mapped_factor bit for bit, so predicting it with these rates
+  /// gives the bits predict(platform, model) gives.
+  bool fits(const LocalityModel& model) const;
+};
+
+/// The ChannelRates of `model` on `platform`. Calls no miss curve. Throws
+/// std::invalid_argument when the platform has more than
+/// sim::kMaxChannels tiers + devices.
+ChannelRates channel_rates(const sim::Platform& platform, const LocalityModel& model);
+
 /// Folds the locality model against the platform's hierarchy: one channel
 /// per tier, then one per device (sim::channel_name resolves them). Throws
 /// std::invalid_argument when the platform has more than sim::kMaxChannels
@@ -121,5 +166,11 @@ sim::Workload build_workload(const sim::Platform& platform, const LocalityModel&
 /// so every output bit — and every golden and cache payload built from
 /// it — stays put (docs/MODEL.md §3).
 Prediction predict(const sim::Platform& platform, const LocalityModel& model);
+
+/// predict with the rates already built: `rates` must come from
+/// channel_rates on this platform for a model that rates.fits(). The
+/// two-argument predict is this one with channel_rates(platform, model).
+Prediction predict(const sim::Platform& platform, const ChannelRates& rates,
+                   const LocalityModel& model);
 
 }  // namespace opm::kernels

@@ -112,7 +112,8 @@ struct Router::Impl {
       return;
     }
     const std::uint64_t seq = next_wire_id.fetch_add(1, std::memory_order_relaxed);
-    const std::string wire_id = "g" + std::to_string(seq);
+    std::string wire_id = "g";
+    wire_id += std::to_string(seq);
     p.target = target;
     protocol::Request copy = p.req;
     copy.id = wire_id;

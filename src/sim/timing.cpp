@@ -28,7 +28,17 @@ double effective_bandwidth(const ChannelLoad& channel, double mlp_lines, double 
 
 TimingBreakdown predict_time(const Platform& platform, const Workload& work,
                              bool double_precision) {
+  ChannelArray<double> effective_bw;
+  for (std::size_t c = 0; c < work.channels.size(); ++c)
+    effective_bw.push_back(effective_bandwidth(work.channels[c], work.mlp_lines, work.line_size));
   TimingBreakdown out;
+  predict_time(platform, work, effective_bw, double_precision, out);
+  return out;
+}
+
+void predict_time(const Platform& platform, const Workload& work,
+                  const ChannelArray<double>& effective_bw, bool double_precision,
+                  TimingBreakdown& out) {
   const double peak = double_precision ? platform.dp_peak_flops : platform.sp_peak_flops;
   const double eff = std::clamp(work.compute_efficiency, 1e-6, 1.0);
   out.compute_time = peak > 0.0 ? work.flops / (peak * eff) : 0.0;
@@ -36,7 +46,7 @@ TimingBreakdown predict_time(const Platform& platform, const Workload& work,
   out.total_time = out.compute_time;
   for (std::size_t c = 0; c < work.channels.size(); ++c) {
     const ChannelLoad& ch = work.channels[c];
-    const double bw = effective_bandwidth(ch, work.mlp_lines, work.line_size);
+    const double bw = effective_bw[c];
     const double t = (bw > 0.0 && ch.bytes > 0.0) ? ch.bytes / bw : 0.0;
     out.channel_times.push_back(t);
     out.channel_eff_bw.push_back(bw);
@@ -46,7 +56,6 @@ TimingBreakdown predict_time(const Platform& platform, const Workload& work,
     }
   }
   out.total_time += std::max(work.fixed_time, 0.0);
-  return out;
 }
 
 double gflops(const Workload& work, const TimingBreakdown& timing) {

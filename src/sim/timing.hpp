@@ -103,6 +103,16 @@ double effective_bandwidth(const ChannelLoad& channel, double mlp_lines, double 
 TimingBreakdown predict_time(const Platform& platform, const Workload& work,
                              bool double_precision = true);
 
+/// predict_time with each channel's effective_bandwidth already known,
+/// written into `out`, which must be default-constructed (so a caller can
+/// fill a TimingBreakdown that lives inside a larger result in place).
+/// `effective_bw[c]` must be effective_bandwidth(work.channels[c],
+/// work.mlp_lines, work.line_size), one entry per channel. The overload
+/// above computes them and calls this one, so both give the same bits.
+void predict_time(const Platform& platform, const Workload& work,
+                  const ChannelArray<double>& effective_bw, bool double_precision,
+                  TimingBreakdown& out);
+
 /// Convenience: GFlop/s implied by a breakdown.
 double gflops(const Workload& work, const TimingBreakdown& timing);
 

@@ -124,6 +124,11 @@ bool ThreadPool::run_one_task(std::size_t self) {
   if (!have) return false;
 
   pending_.fetch_sub(1, std::memory_order_release);
+  // Counted before the body runs: the body's last act counts the chunk off
+  // its batch, and the joiner may read totals() as soon as it sees that.
+  Worker& me = *slots_[self];
+  me.tasks.fetch_add(1, std::memory_order_relaxed);
+  if (stolen) me.steals.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t saved_nested = tls_nested_ns;
   tls_nested_ns = 0;
   const std::uint64_t t0 = now_ns();
@@ -131,10 +136,7 @@ bool ThreadPool::run_one_task(std::size_t self) {
   const std::uint64_t elapsed = now_ns() - t0;
   const std::uint64_t inner = tls_nested_ns;
   tls_nested_ns = saved_nested + elapsed;
-  Worker& me = *slots_[self];
   me.busy_ns.fetch_add(elapsed > inner ? elapsed - inner : 0, std::memory_order_relaxed);
-  me.tasks.fetch_add(1, std::memory_order_relaxed);
-  if (stolen) me.steals.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

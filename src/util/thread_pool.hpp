@@ -41,6 +41,10 @@ class ThreadPool {
  public:
   /// Cumulative per-worker scheduler counters (monotonic over the pool's
   /// lifetime; sample before/after a region to attribute work to it).
+  /// `tasks` and `steals` are counted before a task's body runs, so once
+  /// parallel_for returns they include every chunk of that call.
+  /// `busy_seconds` is added after the body: read right after a call
+  /// returns, it may still miss that call's last chunk.
   struct WorkerCounters {
     std::uint64_t tasks = 0;    ///< chunk tasks executed by this worker
     std::uint64_t steals = 0;   ///< tasks taken from another worker's deque

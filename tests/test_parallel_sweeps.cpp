@@ -496,5 +496,19 @@ TEST(ThreadPoolEdge, CountersAccumulateAcrossCalls) {
   EXPECT_EQ(pool.worker_counters().size(), 3u);
 }
 
+TEST(ThreadPoolEdge, TaskCountIsCompleteWhenParallelForReturns) {
+  // A chunk is counted before its body runs: the body's last act counts it
+  // off the batch, which is what lets parallel_for return.
+  util::ThreadPool pool(2);
+  for (std::size_t call = 0; call < 400; ++call) {
+    const std::size_t grain = 1 + call % 4;
+    const std::size_t n = 8 + call % 57;  // always more than one chunk
+    const std::size_t chunks = (n + grain - 1) / grain;
+    const std::uint64_t before = pool.totals().tasks;
+    pool.parallel_for(0, n, grain, [](std::size_t) {});
+    ASSERT_EQ(pool.totals().tasks - before, chunks) << "call " << call;
+  }
+}
+
 }  // namespace
 }  // namespace opm

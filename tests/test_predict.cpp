@@ -10,6 +10,12 @@
 // platform, KNL under each cluster mode, and a parsed config with a victim
 // tier, three devices and a flat partition.
 //
+// The reference's models come from the same builders, so their miss
+// curves call the memoized capacity_miss_fraction too. Three more oracles
+// cover what it cannot: the memo against a local copy of the formula,
+// predictions with channel rates built from another model, and dense
+// sweeps (whose rows share rates) against predict point by point.
+//
 // This binary also replaces every form of global operator new with a
 // per-thread counting version. The guard tests pin that the model builders
 // and predict allocate nothing, and that a serial 4,096-point sweep with
@@ -23,8 +29,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -381,11 +390,11 @@ std::vector<sim::Platform> differential_platforms() {
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// Compares the optimized prediction with the reference field by field,
-/// by bit pattern. Returns the number of differing fields and describes
-/// the first one in `*first`.
-std::size_t count_diffs(const sim::Platform& p, const LocalityModel& m, std::string* first) {
-  const kernels::Prediction got = kernels::predict(p, m);
+/// Compares `got` with the reference prediction of `m` field by field, by
+/// bit pattern. Returns the number of differing fields and describes the
+/// first one in `*first`.
+std::size_t count_diffs(const sim::Platform& p, const kernels::Prediction& got,
+                        const LocalityModel& m, std::string* first) {
   const ref::kernels::Prediction want = ref::kernels::predict(p, m);
   std::size_t diffs = 0;
   const auto check = [&](bool same, const std::string& what) {
@@ -420,6 +429,10 @@ std::size_t count_diffs(const sim::Platform& p, const LocalityModel& m, std::str
           "effective bandwidth" + at);
   }
   return diffs;
+}
+
+std::size_t count_diffs(const sim::Platform& p, const LocalityModel& m, std::string* first) {
+  return count_diffs(p, kernels::predict(p, m), m, first);
 }
 
 /// A seeded random locality model. Efficiencies land outside [1e-6, 1]
@@ -502,6 +515,64 @@ TEST(PredictDifferential, KernelBuildersMatchReferenceBitForBit) {
   EXPECT_EQ(diffs, 0u) << "first difference: " << first;
 }
 
+TEST(PredictDifferential, RatesOfAnotherModelWithTheSameKeyMatchReference) {
+  // The rates depend on footprint, mlp_max and direct_mapped_factor only:
+  // rates built from a donor that shares those three predict any model.
+  util::Xoshiro256 rng(2507);
+  std::size_t diffs = 0;
+  std::size_t cases = 0;
+  std::string first;
+  for (const sim::Platform& p : differential_platforms()) {
+    for (int i = 0; i < 400; ++i) {
+      const LocalityModel donor = random_model(rng, p);
+      LocalityModel m = random_model(rng, p);
+      m.footprint = donor.footprint;
+      m.mlp_max = donor.mlp_max;
+      m.direct_mapped_factor = donor.direct_mapped_factor;
+      const kernels::ChannelRates rates = kernels::channel_rates(p, donor);
+      ASSERT_TRUE(rates.fits(m));
+      diffs += count_diffs(p, kernels::predict(p, rates, m), m, &first);
+      ++cases;
+    }
+    // A dense sweep row: the rates of one tile edge serve every other edge.
+    for (int i = 0; i < 50; ++i) {
+      const double n = std::exp2(rng.uniform(4.0, 15.5));
+      const double nb = std::exp2(rng.uniform(0.0, 13.0));
+      const LocalityModel gemm = kernels::gemm_model(p, n, nb);
+      const LocalityModel chol = kernels::cholesky_model(p, n, nb);
+      const kernels::ChannelRates gemm_row =
+          kernels::channel_rates(p, kernels::gemm_model(p, n, 8));
+      const kernels::ChannelRates chol_row =
+          kernels::channel_rates(p, kernels::cholesky_model(p, n, 8));
+      ASSERT_TRUE(gemm_row.fits(gemm) && chol_row.fits(chol));
+      diffs += count_diffs(p, kernels::predict(p, gemm_row, gemm), gemm, &first);
+      diffs += count_diffs(p, kernels::predict(p, chol_row, chol), chol, &first);
+      cases += 2;
+    }
+  }
+  EXPECT_EQ(cases, 15u * 500u);
+  EXPECT_EQ(diffs, 0u) << "first difference: " << first;
+}
+
+TEST(PredictDifferential, RatesFitOnlyModelsWithTheSameKeyBits) {
+  const sim::Platform p = sim::knl(sim::McdramMode::kCache);
+  const LocalityModel m = kernels::gemm_model(p, 4096, 256);
+  const kernels::ChannelRates rates = kernels::channel_rates(p, m);
+  EXPECT_TRUE(rates.fits(m));
+  // The fields the rates do not read may change freely.
+  LocalityModel other = kernels::gemm_model(p, 4096, 1024);
+  other.flops *= 3.0;
+  other.fixed_seconds = 1e-3;
+  EXPECT_TRUE(rates.fits(other));
+  // One ulp in any of the three does not fit.
+  for (double LocalityModel::*field :
+       {&LocalityModel::footprint, &LocalityModel::mlp_max, &LocalityModel::direct_mapped_factor}) {
+    LocalityModel moved = m;
+    moved.*field = std::nextafter(moved.*field, 0.0);
+    EXPECT_FALSE(rates.fits(moved));
+  }
+}
+
 TEST(PredictDifferential, ParsedConfigUsesEveryChannelKind) {
   const sim::Platform p = sim::parse_platform_string(kSyntheticConfig);
   ASSERT_EQ(p.tiers.size() + p.devices.size(), 7u);
@@ -512,6 +583,87 @@ TEST(PredictDifferential, ParsedConfigUsesEveryChannelKind) {
   const kernels::Prediction pred = kernels::predict(p, kernels::stream_model(p, 1e9));
   for (std::size_t c = p.tiers.size(); c < pred.workload.channels.size(); ++c)
     EXPECT_GT(pred.workload.channels[c].bytes, 0.0) << sim::channel_name(p, c);
+}
+
+// ------------------------------------------------------ miss-curve memo --
+
+/// capacity_miss_fraction's formula, without the per-thread memo.
+double miss_fraction_formula(double ws, double capacity, double sharpness) {
+  if (ws <= 0.0) return 0.0;
+  if (capacity <= 0.0) return 1.0;
+  const double ratio = capacity / ws;
+  return 1.0 / (1.0 + std::pow(ratio, sharpness));
+}
+
+/// Runs seeded call sequences through capacity_miss_fraction and counts
+/// the results whose bits differ from the formula's. Key pools are shorter
+/// than, as long as and longer than the memo, so calls hit, miss and
+/// evict; keys sit one ulp from each other and repeat under another
+/// sharpness; arguments include ±0, subnormals, infinities and NaN.
+std::size_t memo_mismatches(std::uint64_t seed) {
+  struct Key {
+    double ws;
+    double capacity;
+    double sharpness;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0,  -0.0, std::numeric_limits<double>::denorm_min(), 1e-310,
+                             kInf, -kInf, nan, -1.0, 1.0};
+  const double sharpnesses[] = {6.0, 1.0, 2.5, 12.0, 0.0, -3.0, kInf, nan};
+  constexpr std::size_t kTable = kernels::kMissMemoEntries;
+  const std::size_t pool_sizes[] = {1, 2, 3, kTable - 1, kTable, kTable + 1, 2 * kTable + 3};
+  util::Xoshiro256 rng(seed);
+  const auto argument = [&] {
+    return rng.uniform() < 0.15 ? specials[rng.bounded(std::size(specials))]
+                                : std::exp2(rng.uniform(-20.0, 40.0));
+  };
+  std::size_t mismatches = 0;
+  std::vector<Key> pool;
+  for (int sequence = 0; sequence < 300; ++sequence) {
+    const std::size_t size = pool_sizes[rng.bounded(std::size(pool_sizes))];
+    pool.clear();
+    while (pool.size() < size) {
+      const Key key{argument(), argument(),
+                    rng.uniform() < 0.5 ? 6.0 : sharpnesses[rng.bounded(std::size(sharpnesses))]};
+      pool.push_back(key);
+      const Key neighbours[] = {{std::nextafter(key.ws, kInf), key.capacity, key.sharpness},
+                                {key.ws, std::nextafter(key.capacity, -kInf), key.sharpness},
+                                {key.ws, key.capacity, key.sharpness + 1.0}};
+      for (const Key& near : neighbours)
+        if (pool.size() < size && rng.uniform() < 0.3) pool.push_back(near);
+    }
+    // Cycle through the pool, alternate its two ends, or pick at random.
+    const std::uint64_t pattern = rng.bounded(3);
+    for (std::size_t call = 0; call < 64; ++call) {
+      const std::size_t i = pattern == 0   ? call % size
+                            : pattern == 1 ? (call % 2) * (size - 1)
+                                           : rng.bounded(size);
+      const Key& k = pool[i];
+      const double got = kernels::capacity_miss_fraction(k.ws, k.capacity, k.sharpness);
+      if (!same_bits(got, miss_fraction_formula(k.ws, k.capacity, k.sharpness))) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(MissMemo, MatchesTheFormulaBitForBitThroughHitsAndEvictions) {
+  EXPECT_EQ(memo_mismatches(7), 0u);
+  // The default sharpness shares the table with explicit ones.
+  for (double ws : {1e6, std::nextafter(1e6, 0.0), 1e6})
+    for (double capacity : {5e5, 1e6, 2e6})
+      EXPECT_TRUE(same_bits(kernels::capacity_miss_fraction(ws, capacity),
+                            miss_fraction_formula(ws, capacity, 6.0)));
+}
+
+TEST(MissMemo, EachThreadKeepsItsOwnTable) {
+  constexpr std::size_t kThreads = 4;
+  std::size_t mismatches[kThreads] = {};
+  std::vector<std::thread> threads;  // opm-lint: allow(thread-ownership) — four tables at once
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&mismatches, t] { mismatches[t] = memo_mismatches(100 + t); });
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST(ChannelCap, BuildWorkloadRejectsPlatformsPastTheCap) {
@@ -579,7 +731,10 @@ TEST(AllocationGuard, PredictAllocatesNothingOnAnyBuiltinPlatform) {
     };
     double sink = 0.0;
     const AllocationCount count;
-    for (const LocalityModel& m : models) sink += kernels::predict(p, m).gflops;
+    for (const LocalityModel& m : models) {
+      sink += kernels::predict(p, m).gflops;
+      sink += kernels::predict(p, kernels::channel_rates(p, m), m).seconds;
+    }
     EXPECT_EQ(count(), 0u) << p.mode_label;
     EXPECT_GT(sink, 0.0);
   }
@@ -615,6 +770,51 @@ TEST_F(SerialUncachedSweeps, DenseSweepAllocatesPerSweepNotPerPoint) {
   const std::size_t allocations = count();
   ASSERT_EQ(points.size(), 4096u);
   EXPECT_LT(allocations, 64u);
+}
+
+TEST(RowRates, DenseSweepsEqualPointByPointPredictionsOnEveryBuiltinPlatform) {
+  const std::size_t saved_workers = core::sweep_workers();
+  core::ResultCache::instance().configure(core::CacheConfig{});
+  // Rows long enough to share one ChannelRates, and rows too short to.
+  const core::DenseSweepRequest shapes[] = {
+      {.n_lo = 256, .n_hi = 256 + 11 * 704, .n_step = 704, .nb_lo = 8, .nb_hi = 8 + 23 * 96,
+       .nb_step = 96},
+      {.n_lo = 100, .n_hi = 100 + 30 * 333, .n_step = 333, .nb_lo = 16, .nb_hi = 48,
+       .nb_step = 16},
+  };
+  const std::size_t expected_points[] = {12 * 24, 31 * 3};
+  std::size_t diffs = 0;
+  std::string first;
+  for (std::size_t workers : {0, 4}) {
+    core::set_sweep_workers(workers);
+    for (const sim::Platform& p : builtin_platforms()) {
+      for (core::KernelId kernel : {core::KernelId::kGemm, core::KernelId::kCholesky}) {
+        for (std::size_t s = 0; s < std::size(shapes); ++s) {
+          core::DenseSweepRequest req = shapes[s];
+          req.kernel = kernel;
+          const std::vector<core::SweepPoint> points = core::sweep_dense(p, req);
+          ASSERT_EQ(points.size(), expected_points[s]);
+          // Back to front, so the memo holds other rows' keys than the
+          // sweep's did at each point.
+          for (std::size_t i = points.size(); i-- > 0;) {
+            const core::SweepPoint& pt = points[i];
+            const LocalityModel m = kernel == core::KernelId::kGemm
+                                        ? kernels::gemm_model(p, pt.x, pt.y)
+                                        : kernels::cholesky_model(p, pt.x, pt.y);
+            if (same_bits(pt.gflops, kernels::predict(p, m).gflops) &&
+                same_bits(pt.footprint, m.footprint))
+              continue;
+            if (diffs++ == 0)
+              first = p.mode_label + " " + core::to_string(kernel) + " shape " +
+                      std::to_string(s) + " point " + std::to_string(i) + ", " +
+                      std::to_string(workers) + " workers";
+          }
+        }
+      }
+    }
+  }
+  core::set_sweep_workers(saved_workers);
+  EXPECT_EQ(diffs, 0u) << "first difference: " << first;
 }
 
 TEST_F(SerialUncachedSweeps, FootprintSweepAllocatesPerSweepNotPerPoint) {

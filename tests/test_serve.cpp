@@ -588,7 +588,9 @@ TEST_F(ServeTest, DispatcherRejectsOnOverloadWithRetryHint) {
   constexpr int kBurst = 6;
   for (int i = 0; i < kBurst; ++i) {
     Request req = parse_ok(heavy);
-    req.id = "b" + std::to_string(i);
+    std::string id = "b";
+    id += std::to_string(i);
+    req.id = std::move(id);
     dispatcher.submit(7, std::move(req), sink.respond());
   }
   dispatcher.drain();

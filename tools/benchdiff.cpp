@@ -27,7 +27,9 @@ std::string pct(double v) { return util::format_fixed(v * 100.0, 1) + "%"; }
 /// Signed percent with explicit sign.
 std::string signed_pct(double v) {
   if (v == 0.0) v = 0.0;  // collapse -0.0 so it prints "+0.0%"
-  return (v >= 0.0 ? "+" : "") + pct(v);
+  std::string out = v >= 0.0 ? "+" : "";
+  out += pct(v);
+  return out;
 }
 
 /// The change as printed: (cur - base)/|base| in the metric's own
