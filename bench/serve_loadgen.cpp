@@ -269,10 +269,11 @@ bool overload_probe() {
   for (int i = 0; i < kBurst; ++i) {
     protocol::Request copy = req;
     copy.id = "burst-" + std::to_string(i);
-    dispatcher.submit(/*client=*/1, std::move(copy), [&](std::string r) {
-      std::lock_guard lock(mutex);
-      responses.push_back(std::move(r));
-    });
+    dispatcher.submit(/*client=*/1, std::move(copy),
+                      [&](std::string_view head, std::string_view body, std::string_view tail) {
+                        std::lock_guard lock(mutex);
+                        responses.push_back(std::string(head).append(body).append(tail));
+                      });
   }
   dispatcher.drain();  // every admitted request answered before return
 

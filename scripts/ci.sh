@@ -40,7 +40,9 @@
 # deduplication, structured overload rejections), the same gates against
 # an external server over its Unix socket, a SIGTERM mid-load that must
 # drain gracefully — exit 0, no orphaned socket file, its cache records
-# on disk and no .tmp-* scratch file left — and the sharded
+# on disk and no .tmp-* scratch file left — dense grid steps too small to
+# advance their axis, each answered with one bad-request by
+# `opm_serve --stdio` under a 1.5 GB address-space cap, and the sharded
 # tier: two token-gated opm_serve shards on loopback TCP behind an
 # opm_router, a zipf v2 load driven through the router (byte-identity
 # gate vs the offline library), and a SIGTERM drain of the whole mesh.
@@ -217,6 +219,36 @@ run_serve() {
   rm -rf "$scratch" "$scratch-ext"
   echo "== [serve] self-contained gates (byte-identity, coalescing, overload)"
   (cd "$root/$dir" && ./bench/serve_loadgen --cache-dir="$scratch")
+  echo "== [serve] dense steps below one ulp of their bound are refused at once"
+  # Each axis would never advance (1e17 + 1 == 1e17; 2^53 + 1 rounds back
+  # to 2^53): a shard that ran one would grow its axis until memory ran
+  # out. Under a 1.5 GB address-space cap each line must get exactly one
+  # bad-request answer, and quickly.
+  local hostile=() answers axis id
+  for axis in n nb; do
+    hostile+=("{\"id\":\"$axis-1e17\",\"type\":\"dense\",\"platform\":\"knl-flat\",\"${axis}_lo\":1e17,\"${axis}_hi\":1e17,\"${axis}_step\":1}")
+    hostile+=("{\"id\":\"$axis-2p53\",\"type\":\"dense\",\"platform\":\"knl-flat\",\"${axis}_lo\":9007199254740992,\"${axis}_hi\":9007199254740994,\"${axis}_step\":1}")
+  done
+  if ! answers="$(printf '%s\n' "${hostile[@]}" |
+                  (ulimit -v 1572864 && timeout 20 "$root/$dir/serve/opm_serve" --stdio \
+                       --no-cache --no-sweep-stats))"; then
+    echo "ci: FAIL — opm_serve --stdio did not answer the hostile dense lines and exit 0" >&2
+    exit 1
+  fi
+  if [ "$(printf '%s\n' "$answers" | wc -l)" -ne "${#hostile[@]}" ]; then
+    echo "ci: FAIL — want ${#hostile[@]} answers to the hostile dense lines, got:" >&2
+    printf '%s\n' "$answers" >&2
+    exit 1
+  fi
+  for id in n-1e17 n-2p53 nb-1e17 nb-2p53; do
+    if [ "$(grep -c "^{\"id\":\"$id\",\"ok\":false,\"error\":{\"category\":\"bad-request\"" \
+              <<< "$answers")" -ne 1 ]; then
+      echo "ci: FAIL — hostile dense line $id did not get exactly one bad-request:" >&2
+      printf '%s\n' "$answers" >&2
+      exit 1
+    fi
+  done
+  echo "   ${#hostile[@]} hostile dense lines: one bad-request each"
   echo "== [serve] external server: duplicate-heavy load over the socket"
   local sock="$root/$dir/opm-serve-ci.sock"
   "$root/$dir/serve/opm_serve" --listen="unix:$sock" --cache-dir="$scratch-ext" \

@@ -845,12 +845,12 @@ std::string render_json(const AdviseResult& r) {
   return out;
 }
 
-bool payload_sampling(std::string_view payload, bool* sampled,
-                      std::string* max_rel_error_hex) {
-  static constexpr std::string_view kSection = "\"sampling\":{\"sampled\":";
-  const std::size_t at = payload.find(kSection);
+bool payload_sampling(std::string_view escaped_payload, bool* sampled,
+                      std::string_view* max_rel_error_hex) {
+  static constexpr std::string_view kSection = R"(\"sampling\":{\"sampled\":)";
+  const std::size_t at = escaped_payload.find(kSection);
   if (at == std::string_view::npos) return false;
-  std::string_view rest = payload.substr(at + kSection.size());
+  std::string_view rest = escaped_payload.substr(at + kSection.size());
   if (rest.starts_with("true")) {
     *sampled = true;
   } else if (rest.starts_with("false")) {
@@ -858,13 +858,13 @@ bool payload_sampling(std::string_view payload, bool* sampled,
   } else {
     return false;
   }
-  static constexpr std::string_view kError = "\"max_rel_error\":\"";
+  static constexpr std::string_view kError = R"(\"max_rel_error\":\")";
   const std::size_t err_at = rest.find(kError);
   if (err_at == std::string_view::npos) return false;
   rest = rest.substr(err_at + kError.size());
-  const std::size_t end = rest.find('"');
+  const std::size_t end = rest.find(R"(\")");
   if (end == std::string_view::npos) return false;
-  *max_rel_error_hex = std::string(rest.substr(0, end));
+  *max_rel_error_hex = rest.substr(0, end);
   return true;
 }
 

@@ -190,13 +190,15 @@ std::string run_and_render(const AdviseRequest& req);
 /// paper's table input ranges).
 double default_footprint_bytes(core::KernelId kernel, const sim::Platform& baseline);
 
-/// Scans a rendered advise payload for its "sampling" section. Returns
-/// true and fills `sampled` / `max_rel_error_hex` (the %a hex string,
-/// verbatim for byte-stable re-rendering) when the payload carries one.
-/// This is how the serve dispatcher derives the protocol-v2 envelope's
-/// sampled/max_rel_error members from a fresh OR cache-served payload
-/// without re-running the pipeline.
-bool payload_sampling(std::string_view payload, bool* sampled,
-                      std::string* max_rel_error_hex);
+/// Scans a rendered advise payload, in the JSON-escaped form a serve
+/// flight holds (a backslash before each quote), for its "sampling"
+/// section. Returns true and fills `sampled` / `max_rel_error_hex` (a
+/// view of the %a hex string inside the payload, which escaping leaves
+/// as it is) when the payload carries one. This is how the serve
+/// dispatcher derives the protocol-v2 envelope's sampled/max_rel_error
+/// members from a fresh OR cache-served payload without re-running the
+/// pipeline.
+bool payload_sampling(std::string_view escaped_payload, bool* sampled,
+                      std::string_view* max_rel_error_hex);
 
 }  // namespace opm::advise

@@ -1,6 +1,8 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -188,8 +190,17 @@ util::Digest128 sweep_cache_key(const sim::Platform& platform,
 
 // ------------------------------------------------------------------ sweeps --
 
+bool dense_axis_advances(double lo, double hi, double step) {
+  const double bound = std::max(std::fabs(lo), std::fabs(hi));
+  return std::isfinite(lo) && std::isfinite(hi) && std::isfinite(step) && step > 0.0 &&
+         step >= std::nextafter(bound, std::numeric_limits<double>::infinity()) - bound;
+}
+
 std::vector<SweepPoint> sweep_dense(const sim::Platform& platform,
                                     const DenseSweepRequest& req) {
+  if (!dense_axis_advances(req.n_lo, req.n_hi, req.n_step) ||
+      !dense_axis_advances(req.nb_lo, req.nb_hi, req.nb_step))
+    throw std::invalid_argument("sweep_dense: a grid step does not advance its axis");
   const std::string name = std::string("sweep_dense:") + to_string(req.kernel);
   return cached_sweep<SweepPoint>(name, sweep_cache_key(platform, req), [&] {
     // The grid coordinates are accumulated serially (floating-point step

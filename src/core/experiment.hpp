@@ -65,6 +65,14 @@ struct DenseSweepRequest {
   bool operator==(const DenseSweepRequest&) const = default;
 };
 
+/// True when a dense grid axis — lo, lo + step, lo + 2 step, ...
+/// accumulated while <= hi — moves at every step: lo, hi and step are
+/// finite, and step is positive and at least one ulp of the larger bound
+/// magnitude, so every value up to hi advances by at least half a step.
+/// protocol::parse_request answers an axis that fails this with
+/// "bad-request"; sweep_dense throws before it builds one.
+bool dense_axis_advances(double lo, double hi, double step);
+
 /// Sparse-suite sweep request. `merge_based` selects the MergeTrans
 /// variant for SpTRANS (the paper's KNL configuration); ignored by the
 /// other kernels. The suite itself stays a separate argument — its

@@ -25,6 +25,10 @@ double opm_capacity(const sim::Platform& platform) {
   return total;
 }
 
+namespace {
+
+/// Scales a platform's OPM tiers to `slice` bytes for one tenant's view
+/// (bandwidth is shared too: scaled by slice / total).
 sim::Platform tenant_view(const sim::Platform& platform, double slice_bytes,
                           double total_opm_bytes, bool share_bandwidth) {
   const double cap_scale =
@@ -34,8 +38,6 @@ sim::Platform tenant_view(const sim::Platform& platform, double slice_bytes,
   const double bw_scale = share_bandwidth ? cap_scale : 1.0;
   return scale_opm(platform, cap_scale, bw_scale);
 }
-
-namespace {
 
 double tenant_gflops_at(const sim::Platform& platform, const Tenant& tenant,
                         double slice_bytes, double total, bool share_bandwidth) {

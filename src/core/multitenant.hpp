@@ -46,11 +46,6 @@ struct PartitionResult {
   double fairness = 0.0;
 };
 
-/// Scales a platform's OPM tiers to `slice` bytes for one tenant's view
-/// (bandwidth is shared too: scaled by slice / total).
-sim::Platform tenant_view(const sim::Platform& platform, double slice_bytes,
-                          double total_opm_bytes, bool share_bandwidth);
-
 /// Evaluates `policy` for the tenants on `platform` (must have an OPM
 /// cache tier, e.g. broadwell eDRAM-on or knl cache mode).
 PartitionResult evaluate_partition(const sim::Platform& platform, std::vector<Tenant>& tenants,

@@ -52,12 +52,6 @@ void set_sweep_workers(std::size_t n) { util::set_shared_pool_workers(n); }
 
 std::size_t sweep_workers() { return util::shared_pool_workers(); }
 
-std::vector<SweepStats> sweep_stats_log() {
-  Engine& e = engine();
-  util::MutexLock lock(e.log_mutex);
-  return {e.log.begin(), e.log.end()};
-}
-
 std::vector<SweepStats> drain_sweep_stats() {
   Engine& e = engine();
   util::MutexLock lock(e.log_mutex);

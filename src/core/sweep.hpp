@@ -92,11 +92,8 @@ void set_sweep_workers(std::size_t n);
 /// Currently configured worker count (default: hardware concurrency).
 std::size_t sweep_workers();
 
-/// Copies the stats log (most recent last; the log keeps the latest 256
-/// top-level sweeps).
-std::vector<SweepStats> sweep_stats_log();
-
-/// Returns the stats log and clears it.
+/// Returns the stats log (most recent last; the log keeps the latest 256
+/// top-level sweeps) and clears it.
 std::vector<SweepStats> drain_sweep_stats();
 
 /// Emits stats as a CSV block via util::CsvWriter (one row per sweep).

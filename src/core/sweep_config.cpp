@@ -25,8 +25,7 @@ bool truthy(const std::string& v) {
   return v == "1" || v == "true" || v == "yes" || v == "on";
 }
 
-}  // namespace
-
+/// The bench-harness defaults resolve_sweep_config starts from.
 SweepConfig default_sweep_config() {
   SweepConfig cfg;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -37,6 +36,8 @@ SweepConfig default_sweep_config() {
   return cfg;
 }
 
+/// Overlays the environment column of the table in the header onto
+/// `base`. Unset or unparsable variables leave the base value untouched.
 SweepConfig apply_env(SweepConfig base) {
   if (const std::string v = env_str("OPM_SWEEP_WORKERS"); !v.empty()) {
     char* end = nullptr;
@@ -59,6 +60,8 @@ SweepConfig apply_env(SweepConfig base) {
     sim::parse_sampling_mode(v, &base.sampling);
   return base;
 }
+
+}  // namespace
 
 SweepConfig resolve_sweep_config(int argc, const char* const* argv) {
   SweepConfig cfg = apply_env(default_sweep_config());

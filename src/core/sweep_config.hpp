@@ -38,20 +38,13 @@ struct SweepConfig {
   sim::SamplingMode sampling = sim::SamplingMode::kOff;
 };
 
-/// Bench-harness defaults: hardware-concurrency workers, telemetry on, and
-/// the cache enabled with both tiers (disk under ".opm-cache"). Note this
-/// differs from the library default — a process that never applies a
-/// SweepConfig runs with the cache disabled.
-SweepConfig default_sweep_config();
-
-/// Overlays OPM_SWEEP_WORKERS / OPM_CACHE_DIR / OPM_CACHE_MAX_BYTES /
-/// OPM_NO_CACHE / OPM_SWEEP_STATS onto `base`. Unset or unparsable
-/// variables leave the base value untouched.
-SweepConfig apply_env(SweepConfig base);
-
 /// The full defaults → environment → CLI resolution (the table above) in
 /// one call, without applying it. Shared by bench::init and opm_serve so
-/// both front ends accept the same knobs.
+/// both front ends accept the same knobs. The defaults are the bench
+/// harnesses': hardware-concurrency workers, telemetry on, and the cache
+/// enabled with both tiers (disk under ".opm-cache"). Note this differs
+/// from the library default — a process that never applies a SweepConfig
+/// runs with the cache disabled.
 SweepConfig resolve_sweep_config(int argc, const char* const* argv);
 
 /// The CLI flags resolve_sweep_config reads, for binaries that refuse

@@ -18,33 +18,6 @@
 
 namespace opm::serve {
 
-namespace {
-
-/// A flight's payload in the form its envelopes embed. Sweep CSV is
-/// rendered already JSON-escaped, so wrapping it is a copy, not an escape
-/// pass. Advise JSON stays raw — its sample note is read from it — and is
-/// escaped when wrapped.
-std::string flight_payload(const protocol::Request& req) {
-  return req.type == protocol::RequestType::kAdvise ? protocol::execute(req)
-                                                    : protocol::execute_escaped(req);
-}
-
-/// Wraps a flight's payload in one waiter's envelope. An advise payload's
-/// v2 sampled/max_rel_error members are derived from its text (fresh,
-/// coalesced, or cache-served — all the same bytes), so the fast-or-exact
-/// contract holds on every serving path without threading sampling state
-/// through execute().
-std::string wrap(const protocol::Envelope& env, const protocol::Request& req,
-                 const std::string& payload) {
-  if (req.type != protocol::RequestType::kAdvise)
-    return protocol::render_escaped_response(env, req.type, payload);
-  protocol::SampleNote note;
-  advise::payload_sampling(payload, &note.sampled, &note.max_rel_error_hex);
-  return protocol::render_response(env, req.type, payload, note);
-}
-
-}  // namespace
-
 struct Dispatcher::Impl {
   explicit Impl(const DispatchConfig& cfg)
       : config(cfg),
@@ -100,9 +73,25 @@ struct Dispatcher::Impl {
   /// serializes the only post-construction access.
   std::vector<std::thread> workers;
 
-  void answer(const Respond& respond, std::string line) {
+  void answer(const Respond& respond, std::string_view head, std::string_view body = {},
+              std::string_view tail = {}) {
     responses.add(1);
-    respond(std::move(line));
+    respond(head, body, tail);
+  }
+
+  /// Sends one waiter its success line: its own head, the flight's escaped
+  /// payload as held, and kPayloadTail. An advise payload's v2
+  /// sampled/max_rel_error members are read from those bytes (fresh,
+  /// coalesced, or cache-served — all the same bytes), so the fast-or-exact
+  /// contract holds on every serving path without threading sampling state
+  /// through execute(). Only advise payloads carry a sampling section.
+  void answer_payload(const Respond& respond, const protocol::Envelope& env,
+                      protocol::RequestType type, std::string_view payload) {
+    protocol::PayloadHead head;
+    head.type = type;
+    if (type == protocol::RequestType::kAdvise)
+      advise::payload_sampling(payload, &head.sampled, &head.max_rel_error);
+    answer(respond, protocol::splice_head(env, head), payload, protocol::kPayloadTail);
   }
 
   protocol::Envelope envelope(const protocol::Request& req) const {
@@ -171,10 +160,10 @@ struct Dispatcher::Impl {
     auto flight = flights.try_begin(key, &leader);
     if (leader) {
       try {
-        auto payload = std::make_shared<const std::string>(flight_payload(item.req));
+        auto payload = std::make_shared<const std::string>(protocol::execute_escaped(item.req));
         computed.add(1);
         flights.complete(flight, payload);
-        answer(item.respond, wrap(env, item.req, *payload));
+        answer_payload(item.respond, env, item.req.type, *payload);
       } catch (const std::exception& e) {
         flights.fail(flight);
         errors_internal.add(1);
@@ -191,7 +180,7 @@ struct Dispatcher::Impl {
     const core::SingleFlight::Payload payload = flights.share(flight);
     if (payload) {
       coalesce_hits.add(1);
-      answer(item.respond, wrap(env, item.req, *payload));
+      answer_payload(item.respond, env, item.req.type, *payload);
     } else {
       errors_internal.add(1);
       answer(item.respond,

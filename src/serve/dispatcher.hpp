@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "serve/protocol.hpp"
 
@@ -24,12 +25,14 @@
 ///   cannot starve others of *service order* though: dequeue is
 ///   round-robin across clients with pending work.
 /// * Identical sweeps (protocol::request_key) coalesce: one leader
-///   computes, every concurrent duplicate shares the same payload and
-///   each waiter wraps it in its own response envelope (ids differ).
+///   computes, every concurrent duplicate shares the same escaped payload
+///   and each waiter is sent it as held, behind its own response head
+///   (ids differ).
 /// * drain() stops admission (subsequent submits get "draining"), lets
 ///   queued and in-flight work finish, then joins the workers. The result
-///   cache's disk tier is write-through, so a drained process leaves
-///   nothing unflushed.
+///   cache's disk tier is write-behind, so a drained process may still
+///   have records queued: Server::wait and Server::serve_stream flush the
+///   cache after drain().
 ///
 /// Every submit() is answered exactly once through its respond callback
 /// (on a worker thread, or inline on the submitting thread for
@@ -60,9 +63,15 @@ struct DispatchConfig {
 
 class Dispatcher {
  public:
-  /// Called exactly once per submit with the complete response line
-  /// (no trailing newline).
-  using Respond = std::function<void(std::string)>;
+  /// Called exactly once per submit with one response line (no trailing
+  /// newline) in three pieces, sent in order: a success line with a
+  /// payload is protocol::splice_head's head, the flight's escaped payload
+  /// as held and protocol::kPayloadTail; any other line is all head, with
+  /// body and tail empty. The views are valid only for the call (the
+  /// dispatcher holds the flight's payload across it), so a sink sends or
+  /// copies them before it returns, as Conn::write_line does.
+  using Respond =
+      std::function<void(std::string_view head, std::string_view body, std::string_view tail)>;
 
   explicit Dispatcher(const DispatchConfig& config);
   ~Dispatcher();  ///< drains (finishes queued + in-flight work)

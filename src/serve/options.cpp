@@ -39,6 +39,18 @@ extern "C" void on_terminate(int) {
   }
 }
 
+/// Non-empty when the command line still carries the retired
+/// --socket=PATH: the message names its replacement, `flag`=unix:PATH
+/// ("--listen" for listeners, "--connect" for clients). util::Cli ignores
+/// unknown flags, so without this a script that kept --socket would bind
+/// or dial the default socket without a word; callers print the message
+/// and exit 2.
+std::string retired_flag_error(const util::Cli& cli, const std::string& flag) {
+  if (!cli.has("socket")) return {};
+  const std::string path = cli.get("socket", "");
+  return "--socket is retired; use " + flag + "=unix:" + (path.empty() ? "PATH" : path);
+}
+
 }  // namespace
 
 Options resolve_options(const util::Cli& cli) {
@@ -62,12 +74,6 @@ Options resolve_options(const util::Cli& cli) {
   opt.max_redirects = static_cast<int>(cli.get_int("max-redirects", opt.max_redirects));
   opt.stdio = cli.has("stdio");
   return opt;
-}
-
-std::string retired_flag_error(const util::Cli& cli, const std::string& flag) {
-  if (!cli.has("socket")) return {};
-  const std::string path = cli.get("socket", "");
-  return "--socket is retired; use " + flag + "=unix:" + (path.empty() ? "PATH" : path);
 }
 
 ServerConfig to_server_config(const Options& opt) {

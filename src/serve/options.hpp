@@ -53,14 +53,6 @@ struct Options {
 /// Resolves the shared flag surface (defaults above, overridden by CLI).
 Options resolve_options(const util::Cli& cli);
 
-/// Non-empty when the command line still carries the retired
-/// --socket=PATH: the message names its replacement, `flag`=unix:PATH
-/// ("--listen" for listeners, "--connect" for clients). util::Cli ignores
-/// unknown flags, so without this a script that kept --socket would bind
-/// or dial the default socket without a word; callers print the message
-/// and exit 2.
-std::string retired_flag_error(const util::Cli& cli, const std::string& flag);
-
 /// The server/router configs an Options implies.
 ServerConfig to_server_config(const Options& opt);
 RouterConfig to_router_config(const Options& opt);

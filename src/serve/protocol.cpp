@@ -275,7 +275,9 @@ bool parse_request_value(const util::JsonValue& doc, Request* out, Error* err) {
       if (r.n_lo < 1.0 || r.nb_lo < 1.0) return bad(err, "grid bounds must be >= 1");
       if (r.n_hi < r.n_lo || r.nb_hi < r.nb_lo)
         return bad(err, "grid upper bounds must be >= lower bounds");
-      if (r.n_step <= 0.0 || r.nb_step <= 0.0) return bad(err, "grid steps must be > 0");
+      if (!core::dense_axis_advances(r.n_lo, r.n_hi, r.n_step) ||
+          !core::dense_axis_advances(r.nb_lo, r.nb_hi, r.nb_step))
+        return bad(err, "grid steps must be > 0 and at least one ulp of their upper bound");
       const double nx = std::floor((r.n_hi - r.n_lo) / r.n_step) + 1.0;
       const double ny = std::floor((r.nb_hi - r.nb_lo) / r.nb_step) + 1.0;
       if (nx * ny > static_cast<double>(kMaxGridPoints))
@@ -441,7 +443,10 @@ std::string execute(const Request& req) {
   return sweep_csv(req, "\n");
 }
 
-std::string execute_escaped(const Request& req) { return sweep_csv(req, "\\n"); }
+std::string execute_escaped(const Request& req) {
+  if (req.type == RequestType::kAdvise) return util::json_escape(execute(req));
+  return sweep_csv(req, "\\n");
+}
 
 std::string render_points_csv(const std::vector<core::SweepPoint>& points) {
   return write_points_csv(points, "\n");
@@ -568,12 +573,19 @@ std::string ok_head(const Envelope& env, RequestType type, bool sampled,
   return out;
 }
 
-}  // namespace
-
-std::string render_response(const Envelope& env, RequestType type,
-                            const std::string& payload) {
-  return render_response(env, type, payload, SampleNote{});
+/// The response types whose success lines carry a payload string.
+bool payload_type(std::string_view name, RequestType* out) {
+  for (const RequestType t : {RequestType::kDense, RequestType::kSparse, RequestType::kFootprint,
+                              RequestType::kAdvise, RequestType::kConfig}) {
+    if (name == to_string(t)) {
+      *out = t;
+      return true;
+    }
+  }
+  return false;
 }
+
+}  // namespace
 
 std::string render_response(const Envelope& env, RequestType type,
                             const std::string& payload, const SampleNote& note) {
@@ -581,14 +593,6 @@ std::string render_response(const Envelope& env, RequestType type,
   std::string out = ok_head(env, type, note.sampled, util::json_escape(note.max_rel_error_hex),
                             payload.size() + payload.size() / 16 + 2);
   util::append_json_escaped(out, payload);
-  out += kPayloadTail;
-  return out;
-}
-
-std::string render_escaped_response(const Envelope& env, RequestType type,
-                                    std::string_view escaped_payload) {
-  std::string out = ok_head(env, type, false, {}, escaped_payload.size() + 2);
-  out += escaped_payload;
   out += kPayloadTail;
   return out;
 }
@@ -695,12 +699,8 @@ std::string render_view(const Envelope& env, const ResponseView& view) {
   if (view.type == "stats") return render_stats(env, view.stats);
   if (view.type == "pong") return render_pong(env);
   if (view.type == "hello") return render_hello_ok(env);
-  RequestType type = RequestType::kPing;
-  if (view.type == "dense") type = RequestType::kDense;
-  else if (view.type == "sparse") type = RequestType::kSparse;
-  else if (view.type == "footprint") type = RequestType::kFootprint;
-  else if (view.type == "advise") type = RequestType::kAdvise;
-  else if (view.type == "config") type = RequestType::kConfig;
+  RequestType type = RequestType::kPing;  // left for a name no payload type has
+  payload_type(view.type, &type);
   return render_response(env, type, view.payload,
                          SampleNote{view.sampled, view.max_rel_error});
 }
@@ -777,18 +777,6 @@ class HeadReader {
   std::string_view s_;
   std::size_t pos_ = 0;
 };
-
-/// The response types whose success lines carry a payload string.
-bool payload_type(std::string_view name, RequestType* out) {
-  for (const RequestType t : {RequestType::kDense, RequestType::kSparse, RequestType::kFootprint,
-                              RequestType::kAdvise, RequestType::kConfig}) {
-    if (name == to_string(t)) {
-      *out = t;
-      return true;
-    }
-  }
-  return false;
-}
 
 /// Reads a success line written exactly as render_response writes a v2
 /// one (parse_payload_head's contract). When `decoded` is non-null, its

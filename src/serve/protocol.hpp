@@ -208,12 +208,11 @@ util::Digest128 request_key(const Request& req);
 /// verifier calls this directly and diffs against served payloads.
 std::string execute(const Request& req);
 
-/// A sweep request's (dense, sparse, footprint) execute() payload in the
-/// JSON-escaped form an envelope embeds, byte for byte
-/// util::json_escape(execute(req)), written escaped in one pass (the CSV's
-/// only escaped byte is the newline). Sweeps only: the dispatcher keeps
-/// advise JSON raw and escapes it when wrapping, and any other type
-/// yields an empty payload.
+/// execute(req)'s payload in the JSON-escaped form an envelope embeds,
+/// byte for byte util::json_escape(execute(req)): the one form a
+/// dispatcher flight holds and every waiter is sent. Sweep CSV is written
+/// escaped in one pass (its only escaped byte is the newline); advise
+/// JSON is escaped once per flight.
 std::string execute_escaped(const Request& req);
 
 /// CSV payload: header "x,y,gflops,footprint,rows,nnz,input_id", doubles
@@ -235,17 +234,13 @@ struct SampleNote {
 };
 
 /// Response lines (no trailing newline), versioned by the envelope. v1
-/// renders are byte-identical to the pre-v2 service.
+/// renders are byte-identical to the pre-v2 service. A success line
+/// annotates a v2 envelope with the sampled members when note.sampled
+/// (v1 envelopes ignore the note entirely). It is the three pieces a
+/// shard and a router send, joined: splice_head, the escaped payload and
+/// kPayloadTail.
 std::string render_response(const Envelope& env, RequestType type,
-                            const std::string& payload);
-/// As above, annotating v2 envelopes with the sampled members when
-/// note.sampled (v1 envelopes ignore the note entirely).
-std::string render_response(const Envelope& env, RequestType type,
-                            const std::string& payload, const SampleNote& note);
-/// render_response for a payload already in escaped form (execute_escaped):
-/// the bytes are copied, not escaped again.
-std::string render_escaped_response(const Envelope& env, RequestType type,
-                                    std::string_view escaped_payload);
+                            const std::string& payload, const SampleNote& note = {});
 std::string render_error(const Envelope& env, const Error& err);
 std::string render_stats(const Envelope& env, const std::string& stats_json);
 std::string render_pong(const Envelope& env);
@@ -289,8 +284,9 @@ bool parse_response_json(std::string_view line, ResponseView* out);
 std::string render_view(const Envelope& env, const ResponseView& view);
 
 /// The head of a v2 success line whose payload can be relayed without
-/// decoding it — what the router reads instead of parsing the whole line.
-/// The views point into the parsed line.
+/// decoding it — what the router reads instead of parsing the whole line,
+/// and what a shard's dispatcher fills (type and sample note) to render
+/// its own head. The views point into the parsed line or payload.
 struct PayloadHead {
   std::string_view id;             ///< echo token (holds no escape)
   int shard = 0;
@@ -313,10 +309,11 @@ bool parse_payload_head(std::string_view line, PayloadHead* out);
 /// The bytes that close a success line after its payload string's body.
 inline constexpr std::string_view kPayloadTail = "\"}";
 
-/// The client's envelope head, through the payload string's opening
-/// quote. A spliced line is splice_head, then head.payload, then
-/// kPayloadTail: the router sends the three pieces in one gathered write
-/// and never joins them.
+/// The one success-line head renderer: the client's envelope head,
+/// through the payload string's opening quote. Reads head.type,
+/// head.sampled and head.max_rel_error. A success line is splice_head,
+/// then the escaped payload as held, then kPayloadTail: shard and router
+/// send the three pieces in one gathered write and never join them.
 std::string splice_head(const Envelope& env, const PayloadHead& head);
 
 }  // namespace opm::serve::protocol

@@ -46,7 +46,10 @@ struct Server::Impl {
 
   void submit(protocol::Request req, const Session& session) {
     dispatcher.submit(session.client, std::move(req),
-                      [conn = session.conn](std::string response) { conn->write_line(response); });
+                      [conn = session.conn](std::string_view head, std::string_view body,
+                                            std::string_view tail) {
+                        conn->write_line(head, body, tail);
+                      });
   }
 
   /// A top-level JSON array is a v2 batch: every element is validated and

@@ -32,17 +32,6 @@ const char* to_string(ClusterMode mode) {
   return "?";
 }
 
-std::uint64_t Platform::cache_capacity_through(std::size_t i) const {
-  std::uint64_t total = 0;
-  for (std::size_t k = 0; k <= i && k < tiers.size(); ++k) total += tiers[k].geometry.capacity;
-  return total;
-}
-
-std::optional<std::size_t> Platform::last_tier() const {
-  if (tiers.empty()) return std::nullopt;
-  return tiers.size() - 1;
-}
-
 Platform broadwell(EdramMode mode) {
   Platform p;
   p.name = "Broadwell i7-5775c";

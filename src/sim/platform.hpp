@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,10 +102,6 @@ struct Platform {
   double opm_watts_static = 0.0;     ///< OPM static power when enabled
   double opm_watts_per_gbps = 0.0;   ///< OPM dynamic power per GB/s drawn
 
-  /// Total capacity of all standard cache tiers up to and including index i.
-  std::uint64_t cache_capacity_through(std::size_t i) const;
-  /// Index of the last cache tier, or nullopt when there are none.
-  std::optional<std::size_t> last_tier() const;
   /// DDR device (always the last device).
   const MemoryDeviceSpec& ddr() const { return devices.back(); }
 };

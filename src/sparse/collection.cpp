@@ -23,6 +23,9 @@ const char* to_string(Family family) {
   return "?";
 }
 
+namespace {
+
+/// Locality score assumed for each family (see MatrixDescriptor::locality).
 double family_locality(Family family) {
   switch (family) {
     case Family::kBanded: return 0.95;
@@ -36,6 +39,8 @@ double family_locality(Family family) {
   }
   return 0.0;
 }
+
+}  // namespace
 
 MatrixDescriptor SyntheticCollection::describe(int id, Family family, std::int64_t rows,
                                                std::int64_t nnz, std::uint64_t seed) {

@@ -80,7 +80,4 @@ class SyntheticCollection {
   std::vector<MatrixDescriptor> descriptors_;
 };
 
-/// Locality score assumed for each family (see MatrixDescriptor::locality).
-double family_locality(Family family);
-
 }  // namespace opm::sparse

@@ -21,10 +21,6 @@ void Histogram::add(double x, double weight) {
   total_ += weight;
 }
 
-double Histogram::bin_center(std::size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
 std::size_t Histogram::mode_bin() const {
   return static_cast<std::size_t>(
       std::distance(counts_.begin(), std::max_element(counts_.begin(), counts_.end())));

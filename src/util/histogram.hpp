@@ -24,8 +24,6 @@ class Histogram {
   double hi() const { return hi_; }
   /// Weight accumulated in bin i.
   double count(std::size_t i) const { return counts_.at(i); }
-  /// Center of bin i.
-  double bin_center(std::size_t i) const;
   /// Total accumulated weight.
   double total() const { return total_; }
   /// Index of the heaviest bin (0 if empty).

@@ -7,6 +7,7 @@
 // hot-reload of the verify switch.
 #include <unistd.h>
 
+#include <algorithm>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sim/window_sampler.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 
@@ -333,6 +335,7 @@ class AdviseServeTest : public ::testing::Test {
   void SetUp() override {
     saved_config_ = core::result_cache_config();
     saved_workers_ = core::sweep_workers();
+    saved_mode_ = sim::sampling_mode();
     core::CacheConfig cfg;
     cfg.enabled = true;
     cfg.disk = false;  // memory tier only: hermetic, no cross-test state
@@ -341,21 +344,23 @@ class AdviseServeTest : public ::testing::Test {
   }
   void TearDown() override {
     advise::set_verify_enabled(true);
+    sim::set_sampling_mode(saved_mode_);
     core::configure_result_cache(saved_config_);
     core::set_sweep_workers(saved_workers_);
   }
 
   core::CacheConfig saved_config_;
   std::size_t saved_workers_ = 0;
+  sim::SamplingMode saved_mode_ = sim::SamplingMode::kOff;
 };
 
 struct Sink {
   std::mutex mutex;
   std::vector<std::string> lines;
   serve::Dispatcher::Respond respond() {
-    return [this](std::string line) {
+    return [this](std::string_view head, std::string_view body, std::string_view tail) {
       std::lock_guard lock(mutex);
-      lines.push_back(std::move(line));
+      lines.push_back(std::string(head).append(body).append(tail));
     };
   }
 };
@@ -397,6 +402,63 @@ TEST_F(AdviseServeTest, DispatcherServesAdviseByteIdenticalAndCoalesced) {
   // The offline call warmed the payload cache, so every served copy was a
   // hit or a coalesced follower — nothing recomputed the pipeline.
   EXPECT_GE(metrics.counter("advise.payload_hits").value(), hits_before + 1);
+}
+
+TEST_F(AdviseServeTest, DispatcherServesTheSampledEnvelopeAsRendered) {
+  // Four v2 and four v1 waiters of one advise question, submitted
+  // together, so they share one flight. Each joined line must be what
+  // render_response makes of the offline payload and the sampling section
+  // parse_json reads from it: v2 lines carry the sampled members only
+  // under kFast, v1 lines never.
+  const std::string body =
+      R"("type":"advise","platform":"knl-ddr","kernel":"stream","verify":false})";
+  for (const sim::SamplingMode mode : {sim::SamplingMode::kFast, sim::SamplingMode::kOff}) {
+    sim::set_sampling_mode(mode);
+    const std::string offline = advise::run_and_render(parse_ok("{" + body).advise);
+    const auto doc = util::parse_json(offline);
+    ASSERT_TRUE(doc.has_value()) << offline;
+    const util::JsonValue* sampling = doc->find("sampling");
+    ASSERT_NE(sampling, nullptr) << offline;
+    const serve::protocol::SampleNote note{sampling->find("sampled")->boolean,
+                                           sampling->find("max_rel_error")->string};
+    EXPECT_EQ(note.sampled, mode == sim::SamplingMode::kFast) << offline;
+
+    serve::DispatchConfig dc;
+    dc.workers = 2;
+    serve::Dispatcher dispatcher(dc);
+    Sink sink;
+    std::vector<std::string> expected;
+    for (int i = 0; i < 4; ++i) {
+      for (const char* prefix : {R"({"v":2,"req_id":"w2-)", R"({"id":"w1-)"}) {
+        const Request req = parse_ok(prefix + std::to_string(i) + "\"," + body);
+        expected.push_back(serve::protocol::render_response(serve::protocol::envelope_of(req),
+                                                            RequestType::kAdvise, offline, note));
+        dispatcher.submit(12, req, sink.respond());
+      }
+    }
+    dispatcher.drain();
+
+    ASSERT_EQ(sink.lines.size(), expected.size());
+    std::vector<std::string> served = sink.lines;
+    std::sort(served.begin(), served.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(served, expected);
+    for (const std::string& line : served) {
+      const auto envelope = util::parse_json(line);
+      ASSERT_TRUE(envelope.has_value()) << line;
+      const bool v2 = envelope->find("v") != nullptr;
+      const util::JsonValue* sampled = envelope->find("sampled");
+      const util::JsonValue* error = envelope->find("max_rel_error");
+      if (v2 && mode == sim::SamplingMode::kFast) {
+        ASSERT_TRUE(sampled != nullptr && error != nullptr) << line;
+        EXPECT_TRUE(sampled->boolean) << line;
+        EXPECT_EQ(error->string, note.max_rel_error_hex) << line;
+      } else {
+        EXPECT_EQ(sampled, nullptr) << line;
+        EXPECT_EQ(error, nullptr) << line;
+      }
+    }
+  }
 }
 
 TEST_F(AdviseServeTest, ConfigRequestHotReloadsTheVerifySwitch) {

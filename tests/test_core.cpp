@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/advisor.hpp"
@@ -257,6 +259,51 @@ TEST(Experiment, DenseSweepCoversGrid) {
                                                     .nb_step = 128});
   EXPECT_EQ(points.size(), 3u * 4u);
   for (const auto& p : points) EXPECT_GT(p.gflops, 0.0);
+}
+
+TEST(Experiment, DenseSweepThrowsOnAStepThatDoesNotAdvance) {
+  // Below one ulp of the upper bound the accumulated axis never moves
+  // (1e17 + 1 == 1e17, and 2^53 + 1 rounds back to 2^53): the sweep
+  // throws instead of growing the axis until memory runs out.
+  const sim::Platform p = sim::knl(sim::McdramMode::kFlat);
+  struct Axis {
+    double lo, hi, step;
+  };
+  const Axis stuck[] = {
+      {1e17, 1e17, 1},
+      {0x1p53, 0x1p53 + 2, 1},
+      {0x1p53 - 1, 0x1p53 + 2, 1},  // advances once, to 2^53, then sticks
+      {128, 4096, 0},
+      {128, 4096, std::numeric_limits<double>::quiet_NaN()},
+      {128, std::numeric_limits<double>::infinity(), 128},
+  };
+  for (const Axis& a : stuck) {
+    DenseSweepRequest n_axis;
+    n_axis.n_lo = a.lo;
+    n_axis.n_hi = a.hi;
+    n_axis.n_step = a.step;
+    EXPECT_THROW(sweep_dense(p, n_axis), std::invalid_argument) << a.lo << " " << a.step;
+    DenseSweepRequest nb_axis;
+    nb_axis.nb_lo = a.lo;
+    nb_axis.nb_hi = a.hi;
+    nb_axis.nb_step = a.step;
+    EXPECT_THROW(sweep_dense(p, nb_axis), std::invalid_argument) << a.lo << " " << a.step;
+  }
+  // One ulp of the larger bound is enough.
+  EXPECT_TRUE(dense_axis_advances(0x1p53, 0x1p53 + 2, 2));
+  EXPECT_FALSE(dense_axis_advances(0x1p53, 0x1p53 + 2, 1));
+  EXPECT_FALSE(dense_axis_advances(-1e17, 1, 1));
+  // The rule does not cap an axis at floor((hi - lo) / step) + 1 points:
+  // here that count is 171, and accumulating the step gives 172 values.
+  EXPECT_EQ(sweep_dense(p, {.kernel = KernelId::kGemm,
+                            .n_lo = 185.9062658947177,
+                            .n_hi = 203.0062658947177,
+                            .n_step = 0.1,
+                            .nb_lo = 128,
+                            .nb_hi = 128,
+                            .nb_step = 128})
+                .size(),
+            172u);
 }
 
 TEST(Experiment, SparseSweepCoversSuite) {

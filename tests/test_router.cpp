@@ -266,9 +266,9 @@ TEST_F(RouterTest, DispatcherRedirectsKeysItDoesNotOwn) {
   // A key this shard owns is served normally.
   std::mutex mutex;
   std::vector<std::string> lines;
-  auto sink = [&](std::string line) {
+  auto sink = [&](std::string_view head, std::string_view body, std::string_view tail) {
     std::lock_guard lock(mutex);
-    lines.push_back(std::move(line));
+    lines.push_back(std::string(head).append(body).append(tail));
   };
   dispatcher.submit(1, parse_ok(request_owned_by(0, 4)), sink);
   dispatcher.drain();
@@ -288,10 +288,11 @@ TEST_F(RouterTest, DispatcherRedirectsKeysItDoesNotOwn) {
   const int owner = ring.lookup(protocol::request_key(req));
   ASSERT_EQ(owner, 2);
   std::vector<std::string> redirected;
-  fresh.submit(1, std::move(req), [&](std::string line) {
-    std::lock_guard lock(mutex);
-    redirected.push_back(std::move(line));
-  });
+  fresh.submit(1, std::move(req),
+               [&](std::string_view head, std::string_view body, std::string_view tail) {
+                 std::lock_guard lock(mutex);
+                 redirected.push_back(std::string(head).append(body).append(tail));
+               });
   {
     std::lock_guard lock(mutex);
     ASSERT_EQ(redirected.size(), 1u);  // answered before submit returned
@@ -324,10 +325,11 @@ TEST_F(RouterTest, DispatcherEnforcesPerClientQuota) {
   for (int i = 0; i < 6; ++i) {
     Request req = parse_ok(slow);
     req.id = "q" + std::to_string(i);
-    dispatcher.submit(/*client=*/7, std::move(req), [&](std::string line) {
-      std::lock_guard lock(mutex);
-      lines.push_back(std::move(line));
-    });
+    dispatcher.submit(/*client=*/7, std::move(req),
+                      [&](std::string_view head, std::string_view body, std::string_view tail) {
+                        std::lock_guard lock(mutex);
+                        lines.push_back(std::string(head).append(body).append(tail));
+                      });
   }
   dispatcher.drain();
 
@@ -833,10 +835,13 @@ TEST(RouterSplice, MutatedSuccessLinesReadLikeTheFullParse) {
       R"({"advise":{"kernel":"spmv","platform":"knl-ddr"},"note":"a)" "\t" R"(b\c",)"
       "\n" R"("sampling":{"sampled":true,"max_rel_error":"0x1.9p-9"}})";
   const protocol::SampleNote note{true, "0x1.9p-9"};
+  protocol::PayloadHead sweep_head;
+  sweep_head.type = RequestType::kFootprint;
   std::vector<std::string> seeds;
   for (const Envelope& env : {Envelope{2, "g17", 1}, Envelope{1, "c-1", 0},
                               Envelope{2, "c-2", 0}}) {
-    seeds.push_back(protocol::render_escaped_response(env, RequestType::kFootprint, csv));
+    seeds.push_back(protocol::splice_head(env, sweep_head) + csv +
+                    std::string(protocol::kPayloadTail));
     seeds.push_back(protocol::render_response(env, RequestType::kAdvise, advise_json, note));
   }
   std::vector<std::string> lines = seeds;

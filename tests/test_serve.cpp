@@ -223,6 +223,19 @@ TEST(Protocol, ErrorTaxonomy) {
       {R"({"type":"dense","platform":"knl-flat","n_lo":"big"})", "bad-request"},
       {R"({"type":"dense","platform":"knl-flat","n_lo":1,"n_hi":1000000,"n_step":0.001})",
        "bad-request"},  // grid bomb
+      // Steps below one ulp of their axis's upper bound: few points by
+      // count, but the accumulation never moves (1e17 + 1 == 1e17, and
+      // 2^53 + 1 rounds back to 2^53).
+      {R"({"type":"dense","platform":"knl-flat","n_lo":1e17,"n_hi":1e17,"n_step":1})",
+       "bad-request"},
+      {R"({"type":"dense","platform":"knl-flat","n_lo":9007199254740992,)"
+       R"("n_hi":9007199254740994,"n_step":1})",
+       "bad-request"},
+      {R"({"type":"dense","platform":"knl-flat","nb_lo":1e17,"nb_hi":1e17,"nb_step":1})",
+       "bad-request"},
+      {R"({"type":"dense","platform":"knl-flat","nb_lo":9007199254740992,)"
+       R"("nb_hi":9007199254740994,"nb_step":1})",
+       "bad-request"},
       {R"({"type":"sparse","platform":"knl-flat","kernel":"gemm"})", "bad-request"},
       {R"({"type":"sparse","platform":"knl-flat","merge_based":1})", "bad-request"},
       {R"({"type":"footprint","platform":"knl-flat","fp_lo":-5})", "bad-request"},
@@ -504,9 +517,9 @@ struct Sink {
   std::mutex mutex;
   std::vector<std::string> lines;
   serve::Dispatcher::Respond respond() {
-    return [this](std::string line) {
+    return [this](std::string_view head, std::string_view body, std::string_view tail) {
       std::lock_guard lock(mutex);
-      lines.push_back(std::move(line));
+      lines.push_back(std::string(head).append(body).append(tail));
     };
   }
 };
@@ -614,23 +627,28 @@ TEST_F(ServeTest, DispatcherRejectsOnOverloadWithRetryHint) {
 }
 
 TEST_F(ServeTest, EscapedPayloadsAreTheEscapedReferenceByteForByte) {
-  // The dispatcher wraps execute_escaped's text with no second escape
-  // pass: it must be exactly json_escape of the offline reference, and
-  // the wrapped line exactly what rendering the reference gives.
+  // The dispatcher sends execute_escaped's text as held, with no second
+  // escape pass: it must be exactly json_escape of the offline reference,
+  // and the head, payload and tail it sends must join to exactly what
+  // rendering the reference gives.
   const char* lines[] = {
       R"({"type":"dense","platform":"knl-flat","kernel":"gemm",)"
       R"("n_lo":256,"n_hi":2048,"n_step":256,"nb_lo":128,"nb_hi":1024,"nb_step":128})",
       R"({"type":"sparse","platform":"broadwell-edram-on","kernel":"spmv"})",
       R"({"type":"footprint","platform":"knl-cache","kernel":"fft","points":12})",
+      R"({"type":"advise","platform":"knl-ddr","kernel":"stream","verify":false})",
   };
   for (const char* line : lines) {
     const Request req = parse_ok(line);
     const std::string raw = serve::protocol::execute(req);
     const std::string escaped = serve::protocol::execute_escaped(req);
     EXPECT_EQ(escaped, util::json_escape(raw)) << line;
+    serve::protocol::PayloadHead head;
+    head.type = req.type;
     for (const serve::protocol::Envelope& env :
          {serve::protocol::Envelope{1, "e1", 0}, serve::protocol::Envelope{2, "e2", 3}})
-      EXPECT_EQ(serve::protocol::render_escaped_response(env, req.type, escaped),
+      EXPECT_EQ(serve::protocol::splice_head(env, head) + escaped +
+                    std::string(serve::protocol::kPayloadTail),
                 serve::protocol::render_response(env, req.type, raw))
           << line;
   }
